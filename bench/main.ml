@@ -53,11 +53,12 @@ let write_json path =
 
 (* --- Bench trajectory: BENCH_history.jsonl ------------------------------ *)
 
-(* One compact line per recorded run — git sha, date, per-section wall
-   seconds, and the headline rates from [rates_acc] — appended to a JSONL
-   file so the repo carries its own performance trajectory.  `--json` runs
-   append; `--smoke` additionally compares against the last entry and warns
-   (never fails: machines differ) when a tracked rate fell more than 20%. *)
+(* One compact line per recorded run — git sha, date, run mode
+   (smoke/quick/full), per-section wall seconds, and the headline rates
+   from [rates_acc] — appended to a JSONL file so the repo carries its own
+   performance trajectory.  `--json` runs append; every run with a history
+   file compares against the last entry of its own mode and warns (never
+   fails: machines differ) when a tracked rate fell more than 20%. *)
 
 let git_sha () =
   match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
@@ -68,7 +69,7 @@ let git_sha () =
       | Unix.WEXITED 0 when line <> "" -> Some line
       | _ | (exception Unix.Unix_error _) -> None)
 
-let history_record () =
+let history_record ~mode =
   let tm = Unix.gmtime (Unix.gettimeofday ()) in
   let date =
     Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
@@ -82,6 +83,7 @@ let history_record () =
     [
       ("date", Obs.Json.String date);
       ("sha", Obs.Json.String sha);
+      ("mode", Obs.Json.String mode);
       ( "sections",
         Obs.Json.Obj
           (List.rev_map (fun (n, s) -> (n, Obs.Json.Float s)) !wall_acc) );
@@ -90,40 +92,46 @@ let history_record () =
           (List.map (fun (n, v) -> (n, Obs.Json.Float v)) !rates_acc) );
     ]
 
-let append_history path =
+let append_history path ~mode =
   match open_out_gen [ Open_append; Open_creat ] 0o644 path with
   | exception Sys_error msg ->
       Format.eprintf "  !! bench history: cannot append to %s: %s@." path msg
   | oc ->
-      output_string oc (Obs.Json.to_string (history_record ()));
+      output_string oc (Obs.Json.to_string (history_record ~mode));
       output_char oc '\n';
       close_out oc;
       Format.printf "appended history entry to %s@." path
 
-let last_history_entry path =
+(* Entries written before runs were tagged came from `--smoke`. *)
+let entry_mode j =
+  Option.value ~default:"smoke"
+    (Option.bind (Obs.Json.member j "mode") Obs.Json.get_string)
+
+let last_history_entry path ~mode =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error _ -> None
-  | contents -> (
-      let lines =
-        String.split_on_char '\n' contents
-        |> List.filter (fun l -> String.trim l <> "")
-      in
-      match List.rev lines with
-      | [] -> None
-      | last :: _ -> (
-          match Obs.Json.of_string last with
-          | Ok j -> Some j
-          | Error msg ->
-              Format.eprintf "  !! bench history: unreadable last entry: %s@."
-                msg;
-              None))
+  | contents ->
+      String.split_on_char '\n' contents
+      |> List.filter (fun l -> String.trim l <> "")
+      |> List.filter_map (fun line ->
+             match Obs.Json.of_string line with
+             | Ok j -> Some j
+             | Error msg ->
+                 Format.eprintf "  !! bench history: unreadable entry: %s@."
+                   msg;
+                 None)
+      |> List.fold_left
+           (fun last j -> if entry_mode j = mode then Some j else last)
+           None
 
 (* Warn — never fail — when a rate this run is >20% below the previous
-   recorded entry.  A hard gate would make @bench-smoke flaky across
+   recorded entry of the same mode (a smoke run's tiny cells say nothing
+   about a full run's).  Rates an entry carries that this run did not
+   measure are ignored.  A hard gate would make @bench-smoke flaky across
    machines of different speed; the warning is for a human eyeballing the
    alias output on one machine over time. *)
-let warn_regressions path =
-  match last_history_entry path with
+let warn_regressions path ~mode =
+  match last_history_entry path ~mode with
   | None -> ()
   | Some prev ->
       let prev_rates =
@@ -544,88 +552,6 @@ let approx ?(strict = false) ~audit_ks ~scaling_ks ~horizon () =
     exit 1
   end
 
-(* --- E13: service wire + WAL throughput -------------------------------- *)
-
-(* Off-socket cost of the daemon's hot path (DESIGN.md §12): protocol
-   line encode+decode round trips, and WAL append with one fsync per
-   batch — the two per-submission costs `fairsched serve` adds on top of
-   the engine. *)
-let wire () =
-  section "wire — service protocol encode/decode + WAL batch throughput";
-  let n = 100_000 in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to n - 1 do
-    let line =
-      Service.Protocol.request_to_line
-        (Service.Protocol.Submit
-           {
-             org = i land 7;
-             user = i land 31;
-             release = i;
-             size = 1 + (i land 15);
-             cid = 0;
-             cseq = 0;
-             trace = 0;
-           })
-    in
-    match Service.Protocol.request_of_line (String.trim line) with
-    | Ok _ -> ()
-    | Error e -> failwith e
-  done;
-  let codec_s = Unix.gettimeofday () -. t0 in
-  let codec_rate = float_of_int n /. codec_s in
-  Format.printf "protocol round trips: %d in %.2fs (%.0f lines/s)@." n codec_s
-    codec_rate;
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fairsched-bench-wal-%d" (Unix.getpid ()))
-  in
-  Unix.mkdir dir 0o755;
-  let config =
-    match
-      Service.Config.make ~machines:[| 2; 2 |] ~horizon:1_000_000
-        ~algorithm:"fifo" ~seed:1 ()
-    with
-    | Ok c -> c
-    | Error e -> failwith e
-  in
-  let records = 20_000 and batch = 64 in
-  let w =
-    match Service.Wal.create ~dir ~config () with
-    | Ok w -> w
-    | Error e -> failwith e
-  in
-  let t0 = Unix.gettimeofday () in
-  let seq = ref 0 in
-  while !seq < records do
-    for _ = 1 to batch do
-      incr seq;
-      Service.Wal.append w
-        (Service.Wal.Submit
-           { seq = !seq; org = 0; user = 0; release = !seq; size = 1; cid = 0; cseq = 0 })
-    done;
-    match Service.Wal.sync w with Ok () -> () | Error e -> failwith e
-  done;
-  let wal_s = Unix.gettimeofday () -. t0 in
-  let wal_rate = float_of_int records /. wal_s in
-  Service.Wal.close w;
-  (try
-     Sys.remove (Service.Wal.wal_path ~dir);
-     Unix.rmdir dir
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  Format.printf
-    "WAL: %d records, fsync every %d: %.2fs (%.0f records/s)@." records batch
-    wal_s wal_rate;
-  record_rate "codec_lines_per_s" codec_rate;
-  record_rate "wal_records_per_s" wal_rate;
-  record_json "wire"
-    (Obs.Json.Obj
-       [
-         ("codec_lines_per_s", Obs.Json.Float codec_rate);
-         ("wal_records_per_s", Obs.Json.Float wal_rate);
-         ("wal_batch", Obs.Json.Int batch);
-       ])
-
 (* --- E25: service saturation — sharded daemon throughput ---------------- *)
 
 (* Spawn the REAL `fairsched serve` (path from --serve-exe; fork+exec, so
@@ -676,34 +602,16 @@ let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
         Workload.Scenario.default ~norgs ~machines ~horizon
           Workload.Traces.lpc_egee
       in
-      let tmp_root =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "fairsched-bench-serve-%d" (Unix.getpid ()))
-      in
-      let rec rm path =
-        if Sys.file_exists path then
-          if Sys.is_directory path then begin
-            Array.iter
-              (fun e -> rm (Filename.concat path e))
-              (Sys.readdir path);
-            Unix.rmdir path
-          end
-          else Sys.remove path
-      in
-      (try rm tmp_root with Sys_error _ | Unix.Unix_error _ -> ());
-      Unix.mkdir tmp_root 0o755;
       let failed = ref [] in
-      let run_cell ~shards ~conns =
+      let run_cell tmp_root ~shards ~conns =
         let cell = Printf.sprintf "s%d-c%d" shards conns in
         let dir = Filename.concat tmp_root cell in
         Unix.mkdir dir 0o755;
         let sock = Filename.concat dir "d.sock" in
-        let out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644 in
         let pid =
-          Unix.create_process exe
-            [|
-              "fairsched"; "serve"; "--listen"; sock;
+          Harness.spawn_serve ~exe
+            [
+              "--listen"; sock;
               "--state"; Filename.concat dir "state";
               "--orgs"; string_of_int norgs;
               "--machines"; string_of_int machines;
@@ -713,25 +621,10 @@ let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
               "--groups"; string_of_int groups;
               "--shards"; string_of_int shards;
               "--commit-interval"; string_of_int commit_interval_ms;
-            |]
-            Unix.stdin out Unix.stderr
+            ]
         in
-        Unix.close out;
         let addr = Service.Addr.Unix_sock sock in
-        let rec connect_retry n =
-          match Service.Client.connect addr with
-          | Ok c -> c
-          | Error e ->
-              if n = 0 then
-                failwith
-                  (Printf.sprintf "connect %s: %s" cell
-                     (Service.Client.error_to_string e))
-              else begin
-                Unix.sleepf 0.05;
-                connect_retry (n - 1)
-              end
-        in
-        Service.Client.close (connect_retry 200);
+        Service.Client.close (Harness.connect_retry addr);
         let report =
           match
             Service.Loadgen.run
@@ -752,7 +645,7 @@ let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
           | Ok r -> r
           | Error msg -> failwith (cell ^ ": " ^ msg)
         in
-        let client = connect_retry 20 in
+        let client = Harness.connect_retry ~tries:20 addr in
         let fsyncs, acks =
           match Service.Client.request client Service.Protocol.Status with
           | Ok (Service.Protocol.Status_ok st) ->
@@ -765,12 +658,20 @@ let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
          with
         | Ok _ | Error _ -> ());
         Service.Client.close client;
-        ignore (try snd (Unix.waitpid [] pid) with Unix.Unix_error _ -> Unix.WEXITED 0);
+        ignore (Harness.reap pid);
         let lost =
           report.Service.Loadgen.gave_up + report.Service.Loadgen.errors
         in
         if lost > 0 then
           failed := Printf.sprintf "%s: %d submissions lost" cell lost :: !failed;
+        (* one latency sample per submission of this cell: the histogram
+           must not carry samples over from earlier cells *)
+        let samples = report.Service.Loadgen.ack_latency.Obs.Metrics.count in
+        if samples <> report.Service.Loadgen.submitted then
+          failed :=
+            Printf.sprintf "%s: %d latency samples for %d submissions" cell
+              samples report.Service.Loadgen.submitted
+            :: !failed;
         if fsyncs >= acks && acks > 0 then
           failed :=
             Printf.sprintf "%s: group commit did not amortize (%d fsyncs / %d acks)"
@@ -786,9 +687,10 @@ let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
           shard_counts
       in
       let rows =
+        Harness.with_tmpdir @@ fun tmp_root ->
         List.map
           (fun (shards, conns) ->
-            let report, fsyncs, acks = run_cell ~shards ~conns in
+            let report, fsyncs, acks = run_cell tmp_root ~shards ~conns in
             let rate = report.Service.Loadgen.achieved_rate in
             let lat = report.Service.Loadgen.ack_latency in
             Format.printf "  %-7d %-5d | %-9.0f %-9.0f %-9.0f %-7d %-7d@."
@@ -812,7 +714,6 @@ let service_scaling ?(strict = false) ~serve_exe ~shard_counts ~conn_counts
                ]))
           cells
       in
-      (try rm tmp_root with Sys_error _ | Unix.Unix_error _ -> ());
       let max_conns = List.fold_left Stdlib.max 1 conn_counts in
       let rate_at s =
         List.find_map
@@ -997,7 +898,6 @@ let () =
             ~scaling_ks:(if quick then [ 6; 12; 24 ] else [ 6; 8; 12; 24; 50 ])
             ~horizon:(if quick then 200 else 400) );
         ("micro", micro);
-        ("wire", wire);
         ( "service_scaling",
           service_scaling ~strict:false ~serve_exe
             ~shard_counts:(if quick then [ 1; 2 ] else [ 1; 2; 4 ])
@@ -1027,11 +927,13 @@ let () =
       wall_acc := (name, Obs.Clock.elapsed s0) :: !wall_acc)
     wanted;
   Option.iter write_json json_path;
-  (* History trajectory: smoke compares against the last recorded entry
-     (warn-only); `--json` runs — the recorded ones — append a new line. *)
+  (* History trajectory: compare against the last recorded entry of this
+     mode (warn-only); `--json` runs — the recorded ones — append a new
+     line. *)
+  let mode = if smoke then "smoke" else if quick then "quick" else "full" in
   Option.iter
     (fun h ->
-      if smoke then warn_regressions h;
-      if json_path <> None then append_history h)
+      warn_regressions h ~mode;
+      if json_path <> None then append_history h ~mode)
     history_path;
   Format.printf "@.total wall time: %.1fs@." (Obs.Clock.elapsed t0)

@@ -26,23 +26,11 @@
    Every randomized trial prints its seed on failure so it can be
    replayed.  Exit 0 on success, 1 with a one-line reason otherwise. *)
 
-let exe = ref ""
-let failures = ref 0
-let trials = ref 0
+open Harness
 
-let fail fmt =
-  Format.kasprintf
-    (fun msg ->
-      incr failures;
-      Format.eprintf "chaos-smoke: FAIL %s@." msg)
-    fmt
-
-let fatal fmt =
-  Format.kasprintf
-    (fun msg ->
-      Format.eprintf "chaos-smoke: FATAL %s@." msg;
-      exit 1)
-    fmt
+let fail = Smoke.fail
+let fatal = Smoke.fatal
+let trials = Smoke.trials
 
 let read_file path =
   let ic = open_in_bin path in
@@ -54,59 +42,6 @@ let write_file path content =
   let oc = open_out_bin path in
   output_string oc content;
   close_out oc
-
-let rec rm path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-
-let with_tmpdir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fairsched-chaos-%d" (Unix.getpid ()))
-  in
-  (try rm dir with Sys_error _ | Unix.Unix_error _ -> ());
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () -> try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
-(* --- child-process plumbing ---------------------------------------------- *)
-
-let devnull () = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644
-
-let spawn_serve args =
-  let out = devnull () in
-  let pid =
-    Unix.create_process !exe
-      (Array.of_list (Filename.basename !exe :: "serve" :: args))
-      Unix.stdin out Unix.stderr
-  in
-  Unix.close out;
-  pid
-
-let reap pid =
-  try snd (Unix.waitpid [] pid) with Unix.Unix_error _ -> Unix.WEXITED 0
-
-let kill9 pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  ignore (reap pid)
-
-let run_cli args =
-  let out = devnull () in
-  let pid =
-    Unix.create_process !exe
-      (Array.of_list (Filename.basename !exe :: args))
-      Unix.stdin out Unix.stderr
-  in
-  Unix.close out;
-  match reap pid with
-  | Unix.WEXITED c -> c
-  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> 255
 
 (* --- a client that supervises its daemon --------------------------------- *)
 
@@ -132,10 +67,10 @@ let revive d =
       | Unix.WEXITED c -> fail "[%s] daemon died with exit %d" d.ctx c
       | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
           fail "[%s] daemon died of a signal" d.ctx);
-      d.pid <- spawn_serve d.args;
+      d.pid <- Smoke.serve d.args;
       d.restarts <- d.restarts + 1
   | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-      d.pid <- spawn_serve d.args;
+      d.pid <- Smoke.serve d.args;
       d.restarts <- d.restarts + 1
 
 type ep = {
@@ -223,7 +158,7 @@ let crash_trial ~root ~tid ~spec ~expect_crash ~snap ~seed ~serve_flags ~jobs
   let ctx = Printf.sprintf "%s seed %d" spec seed in
   let d =
     {
-      pid = spawn_serve (args @ [ "--chaos"; spec ]);
+      pid = Smoke.serve (args @ [ "--chaos"; spec ]);
       args;
       restarts = 0;
       ctx;
@@ -238,20 +173,7 @@ let crash_trial ~root ~tid ~spec ~expect_crash ~snap ~seed ~serve_flags ~jobs
         match call ep Service.Protocol.Snapshot 50 with
         | Service.Protocol.Snapshot_ok _ -> ()
         | _ -> fail "[%s] snapshot: unexpected response" ctx);
-      match
-        call ep
-          (Service.Protocol.Submit
-             {
-               org = j.Core.Job.org;
-               user = j.Core.Job.user;
-               release = j.Core.Job.release;
-               size = j.Core.Job.size;
-               cid = 7;
-               cseq = i + 1;
-               trace = 0;
-             })
-          100
-      with
+      match call ep (submit_of_job ~cid:7 ~cseq:(i + 1) j) 100 with
       | Service.Protocol.Submit_ok { index; _ } ->
           if index <> j.Core.Job.index then
             fail "[%s] served rank %d <> batch rank %d for job %d" ctx index
@@ -385,7 +307,7 @@ let fuzz_phase root =
   let header_len = 1 + String.index wal_bytes '\n' in
   let scratch = Filename.concat root "scratch" in
   let fresh_scratch ~wal ~snap =
-    rm scratch;
+    rm_rf scratch;
     Unix.mkdir scratch 0o755;
     write_file (Service.Wal.wal_path ~dir:scratch) wal;
     Option.iter (write_file (Service.Wal.snapshot_path ~dir:scratch)) snap
@@ -477,7 +399,7 @@ let fuzz_phase root =
      included), 2 on corrupt input. *)
   let cli_case ~expect args ctx =
     incr trials;
-    let code = run_cli args in
+    let code = Smoke.cli args in
     if code <> expect then
       fail "[wal-check %s] exited %d, expected %d" ctx code expect
   in
@@ -524,7 +446,7 @@ let sigkill_loadgen_phase root =
       "--algorithm"; "fairshare";
     ]
   in
-  let pid = ref (spawn_serve args) in
+  let pid = ref (Smoke.serve args) in
   let d = { pid = !pid; args; restarts = 0; ctx = "sigkill-loadgen" } in
   let ep = { addr = Service.Addr.Unix_sock sock; d; cl = None } in
   ignore (client ep 300);
@@ -536,7 +458,7 @@ let sigkill_loadgen_phase root =
       (fun () ->
         Thread.delay 0.25;
         kill9 !pid;
-        pid := spawn_serve args)
+        pid := Smoke.serve args)
       ()
   in
   let report =
@@ -628,17 +550,7 @@ let degrade_phase root =
   in
   let result = ref (Ok ()) in
   let srv = Thread.create (fun () -> result := Service.Server.run cfg) () in
-  let ctl =
-    let rec go n =
-      if n = 0 then fatal "[degrade] server never came up";
-      match Service.Client.connect ~timeout_s:2.0 addr with
-      | Ok c -> c
-      | Error _ ->
-          Unix.sleepf 0.02;
-          go (n - 1)
-    in
-    go 300
-  in
+  let ctl = connect_retry ~tries:300 ~timeout_s:2.0 addr in
   let status () =
     match Service.Client.request ~timeout_s:5.0 ctl Service.Protocol.Status with
     | Ok (Service.Protocol.Status_ok st) -> st
@@ -779,7 +691,7 @@ let degrade_phase root =
   if recoveries < 1 then fail "[degrade] service.recover_switches = 0";
   if shed < 1 then fail "[degrade] service.shed = 0";
   (* ...and in the WAL: the switch and the recovery are Mode records. *)
-  (match Service.Wal.recover ~dir:state with
+  (match Service.Wal.recover ~dir:(Service.Wal.segment_dir ~dir:state ~group:0) with
   | Ok r ->
       let modes =
         List.filter
@@ -798,20 +710,5 @@ let degrade_phase root =
     switches recoveries shed
 
 let () =
-  if Array.length Sys.argv < 2 then fatal "usage: chaos_smoke FAIRSCHED_EXE";
-  exe :=
-    (if Filename.is_relative Sys.argv.(1) then
-       Filename.concat (Sys.getcwd ()) Sys.argv.(1)
-     else Sys.argv.(1));
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  with_tmpdir (fun dir ->
-      crash_phase dir;
-      fuzz_phase dir;
-      sigkill_loadgen_phase dir;
-      degrade_phase dir);
-  if !failures > 0 then begin
-    Format.eprintf "chaos-smoke: %d failure(s) across %d trials@." !failures
-      !trials;
-    exit 1
-  end;
-  Format.printf "chaos-smoke: OK (%d trials)@." !trials
+  Smoke.run ~name:"chaos-smoke"
+    [ crash_phase; fuzz_phase; sigkill_loadgen_phase; degrade_phase ]

@@ -1026,36 +1026,6 @@ let serve_cmd =
              $(b,rand:0.1,0.9)), switching back once load recovers.  The \
              switch is WAL-logged and crash-safe.")
   in
-  let overload_queue_arg =
-    Arg.(
-      value
-      & opt (nonneg_float_conv "--overload-queue") 0.8
-      & info [ "overload-queue" ] ~docv:"FRAC"
-          ~doc:
-            "Admission-queue occupancy fraction treated as overload \
-             pressure.")
-  in
-  let overload_ms_arg =
-    Arg.(
-      value
-      & opt (nonneg_float_conv "--overload-ms") 50.
-      & info [ "overload-ms" ] ~docv:"MS"
-          ~doc:"Smoothed ack latency (EWMA, ms) treated as overload pressure.")
-  in
-  let overload_trip_arg =
-    Arg.(
-      value
-      & opt (nonneg_float_conv "--overload-trip") 100.
-      & info [ "overload-trip" ] ~docv:"MS"
-          ~doc:"Sustained pressure (ms) before degrading.")
-  in
-  let overload_recover_arg =
-    Arg.(
-      value
-      & opt (nonneg_float_conv "--overload-recover") 500.
-      & info [ "overload-recover" ] ~docv:"MS"
-          ~doc:"Sustained calm (ms) before recovering.")
-  in
   let shards_arg =
     Arg.(
       value
@@ -1097,8 +1067,7 @@ let serve_cmd =
              line) instead of text on stderr.")
   in
   let run listen state model algo estimator norgs machines horizon seed split
-      workers max_restarts queue_cap snapshot_every chaos degrade
-      overload_queue overload_ms overload_trip overload_recover groups shards
+      workers max_restarts queue_cap snapshot_every chaos degrade groups shards
       commit_interval federation_spec log_level log_file trace metrics =
     (match max_restarts with
     | Some r when r < 0 -> die "--max-restarts must be >= 0"
@@ -1150,24 +1119,9 @@ let serve_cmd =
        scrapes.  --trace/--metrics still control the exit-time dumps. *)
     Obs.Metrics.set_enabled true;
     Obs.Trace.set_enabled true;
-    let overload =
-      {
-        Service.Overload.default with
-        queue_high = Float.min 1.0 overload_queue;
-        queue_low =
-          Float.min Service.Overload.default.Service.Overload.queue_low
-            (overload_queue /. 2.);
-        ack_high_ms = overload_ms;
-        ack_low_ms =
-          Float.min Service.Overload.default.Service.Overload.ack_low_ms
-            (overload_ms /. 4.);
-        trip_ms = overload_trip;
-        recover_ms = overload_recover;
-      }
-    in
     let cfg =
       Service.Server.make_config ?state_dir:state ~queue_cap ~snapshot_every
-        ?degrade_to:degrade ~overload ~shards
+        ?degrade_to:degrade ~shards
         ~commit_interval:(commit_interval /. 1000.) ~addr:listen ~service ()
     in
     let ready () =
@@ -1192,8 +1146,7 @@ let serve_cmd =
       $ estimator_arg $ norgs_arg
       $ machines_arg $ horizon_arg 50_000 $ seed_arg $ split_arg $ workers_arg
       $ max_restarts_arg $ queue_cap_arg $ snapshot_every_arg $ chaos_arg
-      $ degrade_arg $ overload_queue_arg $ overload_ms_arg $ overload_trip_arg
-      $ overload_recover_arg $ groups_arg $ shards_arg $ commit_interval_arg
+      $ degrade_arg $ groups_arg $ shards_arg $ commit_interval_arg
       $ federation_arg $ log_level_arg $ log_file_arg $ trace_arg
       $ metrics_arg)
 
@@ -1752,82 +1705,65 @@ let ctl_cmd =
   let wal_check ~json file =
     match file with
     | None -> die "wal-check needs a FILE argument (WAL, snapshot, or state dir)"
-    | Some path -> (
-        (* A segmented state dir (wal-<g>/ per org-group) gets every
-           segment checked independently; one corrupt segment fails the
-           whole inspection, same exit-2 contract as a corrupt flat WAL. *)
-        let seg_groups =
-          if Sys.file_exists path && Sys.is_directory path then
-            Service.Wal.segments ~dir:path
-          else []
+    | Some path ->
+        (* A state dir gets every wal-<g>/ segment checked independently;
+           any other path (a WAL file, a snapshot file, one segment dir)
+           is one target.  One corrupt target fails the whole inspection. *)
+        let targets =
+          match
+            if Sys.file_exists path && Sys.is_directory path then
+              Service.Wal.segments ~dir:path
+            else []
+          with
+          | [] -> [ (None, path) ]
+          | groups ->
+              List.map
+                (fun g -> (Some g, Service.Wal.segment_dir ~dir:path ~group:g))
+                groups
         in
-        match seg_groups with
-        | [] -> (
-            match Service.Wal.check path with
-            | Ok report ->
-                if json then
-                  emit_json ~file:None
-                    (Obs.Json.Obj
-                       [
-                         ("path", Obs.Json.String path);
-                         ("segments", Obs.Json.List [ check_report_json report ]);
-                       ])
-                else Format.printf "%a" Service.Wal.pp_check report
-            | Error e ->
-                if json then begin
-                  emit_json ~file:None
-                    (Obs.Json.Obj
-                       [
-                         ("path", Obs.Json.String path);
-                         ("segments", Obs.Json.List [ boot_error_json e ]);
-                       ]);
-                  exit 2
-                end
-                else die "%s" (Service.Wal.boot_error_to_string e))
-        | groups ->
-            let seg_json = ref [] in
-            let corrupt =
-              List.fold_left
-                (fun corrupt g ->
-                  let dir = Service.Wal.segment_dir ~dir:path ~group:g in
-                  if not json then Format.printf "segment %d (%s):@." g dir;
-                  match Service.Wal.check dir with
-                  | Ok report ->
-                      if json then
-                        seg_json :=
-                          (match check_report_json report with
-                          | Obs.Json.Obj fields ->
-                              Obs.Json.Obj
-                                (("group", Obs.Json.Int g) :: fields)
-                          | j -> j)
-                          :: !seg_json
-                      else Format.printf "%a" Service.Wal.pp_check report;
-                      corrupt
+        let results =
+          List.map (fun (g, target) -> (g, target, Service.Wal.check target))
+            targets
+        in
+        let corrupt =
+          List.length (List.filter (fun (_, _, r) -> Result.is_error r) results)
+        in
+        if json then begin
+          let row (g, _, r) =
+            match
+              ( g,
+                match r with
+                | Ok report -> check_report_json report
+                | Error e -> boot_error_json e )
+            with
+            | Some g, Obs.Json.Obj fields ->
+                Obs.Json.Obj (("group", Obs.Json.Int g) :: fields)
+            | _, j -> j
+          in
+          emit_json ~file:None
+            (Obs.Json.Obj
+               [
+                 ("path", Obs.Json.String path);
+                 ("segments", Obs.Json.List (List.map row results));
+               ]);
+          if corrupt > 0 then exit 2
+        end
+        else
+          match results with
+          | [ (None, _, Error e) ] -> die "%s" (Service.Wal.boot_error_to_string e)
+          | _ ->
+              List.iter
+                (fun (g, target, r) ->
+                  Option.iter
+                    (fun g -> Format.printf "segment %d (%s):@." g target)
+                    g;
+                  match r with
+                  | Ok report -> Format.printf "%a" Service.Wal.pp_check report
                   | Error e ->
-                      if json then
-                        seg_json :=
-                          (match boot_error_json e with
-                          | Obs.Json.Obj fields ->
-                              Obs.Json.Obj
-                                (("group", Obs.Json.Int g) :: fields)
-                          | j -> j)
-                          :: !seg_json
-                      else
-                        Format.printf "  %s@."
-                          (Service.Wal.boot_error_to_string e);
-                      corrupt + 1)
-                0 groups
-            in
-            if json then
-              emit_json ~file:None
-                (Obs.Json.Obj
-                   [
-                     ("path", Obs.Json.String path);
-                     ("segments", Obs.Json.List (List.rev !seg_json));
-                   ]);
-            if corrupt > 0 then
-              if json then exit 2
-              else die "%d of %d segments corrupt" corrupt (List.length groups))
+                      Format.printf "  %s@." (Service.Wal.boot_error_to_string e))
+                results;
+              if corrupt > 0 then
+                die "%d of %d segments corrupt" corrupt (List.length results)
   in
   let run addr which detail json limit file timeout_s =
     match which with

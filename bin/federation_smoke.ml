@@ -26,116 +26,7 @@
 
    Exit 0 on success, 1 with a one-line reason on any failure. *)
 
-let exe = ref ""
-let extra_serve_args = ref []
-let groups = ref 1
-let failures = ref 0
-
-let fail fmt =
-  Format.kasprintf
-    (fun msg ->
-      incr failures;
-      Format.eprintf "federation-smoke: FAIL %s@." msg)
-    fmt
-
-let fatal fmt =
-  Format.kasprintf
-    (fun msg ->
-      Format.eprintf "federation-smoke: FATAL %s@." msg;
-      exit 1)
-    fmt
-
-let with_tmpdir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fairsched-fed-smoke-%d" (Unix.getpid ()))
-  in
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
-  (try rm dir with Sys_error _ | Unix.Unix_error _ -> ());
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
-(* --- child-process plumbing ---------------------------------------------- *)
-
-let devnull () = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644
-
-let spawn_serve args =
-  let out = devnull () in
-  let pid =
-    Unix.create_process !exe
-      (Array.of_list
-         (Filename.basename !exe :: "serve" :: (args @ !extra_serve_args)))
-      Unix.stdin out Unix.stderr
-  in
-  Unix.close out;
-  pid
-
-let reap pid =
-  try snd (Unix.waitpid [] pid) with Unix.Unix_error _ -> Unix.WEXITED 0
-
-let kill9 pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  ignore (reap pid)
-
-let connect_retry addr =
-  let rec go n =
-    match Service.Client.connect addr with
-    | Ok c -> c
-    | Error e ->
-        if n = 0 then fatal "connect: %s" (Service.Client.error_to_string e)
-        else begin
-          Unix.sleepf 0.05;
-          go (n - 1)
-        end
-  in
-  go 200
-
-let request client req =
-  match Service.Client.request client req with
-  | Ok resp -> resp
-  | Error e -> fatal "request: %s" (Service.Client.error_to_string e)
-
-let submit_job client (j : Core.Job.t) =
-  match
-    request client
-      (Service.Protocol.Submit
-         {
-           org = j.Core.Job.org;
-           user = j.Core.Job.user;
-           release = j.Core.Job.release;
-           size = j.Core.Job.size;
-           cid = 0;
-           cseq = 0;
-           trace = 0;
-         })
-  with
-  | Service.Protocol.Submit_ok { index; _ } ->
-      if index <> j.Core.Job.index then
-        fail "served rank %d <> batch rank %d" index j.Core.Job.index
-  | Service.Protocol.Error { msg; _ } -> fatal "submit rejected: %s" msg
-  | _ -> fatal "submit: unexpected response"
-
-let send_endow client ({ Federation.Event.time; event } : Federation.Event.timed)
-    =
-  match
-    request client
-      (Service.Protocol.Endow { time; event; cid = 0; cseq = 0; trace = 0 })
-  with
-  | Service.Protocol.Endow_ok _ -> ()
-  | Service.Protocol.Error { msg; _ } ->
-      fatal "endow %a rejected: %s" Federation.Event.pp event msg
-  | _ -> fatal "endow: unexpected response"
+open Harness
 
 (* --- the endowment script ------------------------------------------------- *)
 
@@ -169,8 +60,6 @@ let script_of_split (machines_per_org : int array) =
    T advances the admission frontier to T, so every later submission must
    carry release >= T.  Per-group subsequences of a globally ordered
    stream are ordered too, so the same merge feeds any --groups shape. *)
-type feed = Job of Core.Job.t | Endow of Federation.Event.timed
-
 let merge_feeds (jobs : Core.Job.t array) script =
   let rec go acc jobs script =
     match (jobs, script) with
@@ -184,82 +73,9 @@ let merge_feeds (jobs : Core.Job.t array) script =
   in
   go [] (Array.to_list jobs) script
 
-(* --- golden outcome ------------------------------------------------------- *)
-
-let local_endow p event =
-  let lorg o = Service.Partition.local_org p o in
-  let lmachs ms = List.map (Service.Partition.local_machine p) ms in
-  match event with
-  | Federation.Event.Join { org; machines } ->
-      Federation.Event.Join { org = lorg org; machines = lmachs machines }
-  | Federation.Event.Leave { org } -> Federation.Event.Leave { org = lorg org }
-  | Federation.Event.Lend { org; to_org; machines } ->
-      Federation.Event.Lend
-        { org = lorg org; to_org = lorg to_org; machines = lmachs machines }
-  | Federation.Event.Reclaim { org; machines } ->
-      Federation.Event.Reclaim { org = lorg org; machines = lmachs machines }
-
-(* Unsharded, the golden outcome is the batch Sim.Driver.run of the full
-   instance with the full script — the ISSUE's headline equivalence.
-   With --groups G > 1 the daemon plays G independent games, so the
-   golden comes from one Online engine per group over
-   Partition.sub_config, fed the same merged stream with org and machine
-   ids localized. *)
-let expected_outcome ~service ~algorithm ~seed ~federation instance feeds =
-  if !groups = 1 then
-    let batch =
-      Sim.Driver.run ~instance ~federation
-        ~rng:(Fstats.Rng.create ~seed)
-        (Algorithms.Registry.find_exn algorithm)
-    in
-    (batch.Sim.Driver.utilities_scaled, batch.Sim.Driver.stats)
-  else begin
-    let p = Service.Partition.make service in
-    let sessions =
-      Array.init !groups (fun g ->
-          Service.Online.create (Service.Partition.sub_config p g))
-    in
-    List.iter
-      (function
-        | Job (j : Core.Job.t) -> (
-            let g = Service.Partition.group_of_org p j.Core.Job.org in
-            match
-              Service.Online.submit sessions.(g)
-                ~org:(Service.Partition.local_org p j.Core.Job.org)
-                ~user:j.Core.Job.user ~size:j.Core.Job.size
-                ~release:j.Core.Job.release ()
-            with
-            | Ok _ -> ()
-            | Error e ->
-                fatal "grouped golden submit: %s"
-                  (Service.Online.error_to_string e))
-        | Endow { Federation.Event.time; event } -> (
-            let g =
-              Service.Partition.group_of_org p (Federation.Event.org event)
-            in
-            match
-              Service.Online.endow sessions.(g) ~time (local_endow p event)
-            with
-            | Ok () -> ()
-            | Error e ->
-                fatal "grouped golden endow: %s"
-                  (Service.Online.error_to_string e)))
-      feeds;
-    Array.iter Service.Online.drain sessions;
-    let psi =
-      Service.Partition.scatter_int p (fun g ->
-          Service.Online.psi_scaled sessions.(g))
-    in
-    let stats =
-      Kernel.Stats.total
-        (Array.to_list (Array.map Service.Online.stats sessions))
-    in
-    (psi, stats)
-  end
-
 (* --- the gauntlet --------------------------------------------------------- *)
 
-let churn_phase dir =
+let churn dir =
   let seed = 2013 and horizon = 20_000 and norgs = 4 and machines = 8 in
   let algorithm = "ref" in
   let spec =
@@ -277,25 +93,25 @@ let churn_phase dir =
   in
   (match Federation.Event.validate ~orgs:norgs ~homes script with
   | Ok () -> ()
-  | Error msg -> fatal "script invalid: %s" msg);
+  | Error msg -> failwith ("script invalid: " ^ msg));
+  let groups = Smoke.arg ~default:1 "--groups" int_of_string_opt in
   let service =
     match
-      Service.Config.make ~groups:!groups ~federated:true
+      Service.Config.make ~groups ~federated:true
         ~machines:machines_per_org ~horizon ~algorithm ~seed ()
     with
     | Ok c -> c
-    | Error msg -> fatal "config: %s" msg
+    | Error msg -> failwith ("config: " ^ msg)
   in
   let feeds = merge_feeds instance.Core.Instance.jobs script in
   let expected_psi, expected_stats =
-    expected_outcome ~service ~algorithm ~seed ~federation:script instance
-      feeds
+    golden ~service ~federation:script instance feeds
   in
   (* Kill mid-churn: right after the org-3 rejoin (the 4th endow event),
      with both remaining lend/reclaim cycles still ahead of the WAL. *)
   let cut =
     let rec go i endows = function
-      | [] -> fatal "script never reached the 4th endow"
+      | [] -> failwith "script never reached the 4th endow"
       | Endow _ :: rest ->
           if endows + 1 = 4 then i + 1 else go (i + 1) (endows + 1) rest
       | Job _ :: rest -> go (i + 1) endows rest
@@ -323,7 +139,7 @@ let churn_phase dir =
   (* First life: jobs and churn up to the rejoin, then kill -9 — no
      snapshot, so recovery replays submissions AND endow records from the
      WAL alone. *)
-  let pid = spawn_serve serve_args in
+  let pid = Smoke.serve serve_args in
   let client = connect_retry addr in
   List.iter (feed_one client) before;
   kill9 pid;
@@ -331,56 +147,31 @@ let churn_phase dir =
   (* Second life: every acked record — endow events included — must
      resurface, then the finished run must match the golden bit for
      bit. *)
-  let pid = spawn_serve serve_args in
+  let pid = Smoke.serve serve_args in
   let client = connect_retry addr in
   (match request client Service.Protocol.Status with
   | Service.Protocol.Status_ok st ->
       if st.Service.Protocol.accepted <> cut then
-        fail "recovered %d acked records, expected %d"
+        Smoke.fail "recovered %d acked records, expected %d"
           st.Service.Protocol.accepted cut
-  | _ -> fatal "status: unexpected response");
+  | _ -> failwith "status: unexpected response");
   List.iter (feed_one client) after;
   (match request client (Service.Protocol.Drain { detail = false }) with
   | Service.Protocol.Drain_ok r ->
       if r.Service.Protocol.d_psi_scaled <> expected_psi then
-        fail "served psi differs from the batch run of the same script";
+        Smoke.fail "served psi differs from the batch run of the same script";
       if
         Kernel.Stats.to_json r.Service.Protocol.d_stats
         <> Kernel.Stats.to_json expected_stats
-      then fail "served kernel stats differ from the batch run"
-  | _ -> fatal "drain: unexpected response");
+      then Smoke.fail "served kernel stats differ from the batch run"
+  | _ -> failwith "drain: unexpected response");
   Service.Client.close client;
-  (match reap pid with
-  | Unix.WEXITED 0 -> ()
-  | Unix.WEXITED c -> fail "drained daemon exited %d" c
-  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> fail "drained daemon was signaled");
-  if !failures = 0 then
+  Smoke.expect_clean_exit pid;
+  if !Smoke.failures = 0 then
     Format.printf
       "federation-smoke: churn equivalence OK (%d jobs + %d endow events, \
        kill -9 after %d records, groups %d)@."
       (Array.length instance.Core.Instance.jobs)
-      (List.length script) cut !groups
+      (List.length script) cut groups
 
-let () =
-  if Array.length Sys.argv < 2 then
-    fatal "usage: federation_smoke FAIRSCHED_EXE [SERVE_ARGS...]";
-  exe :=
-    (if Filename.is_relative Sys.argv.(1) then
-       Filename.concat (Sys.getcwd ()) Sys.argv.(1)
-     else Sys.argv.(1));
-  extra_serve_args :=
-    Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2));
-  (let rec scan = function
-     | "--groups" :: v :: rest ->
-         groups := int_of_string v;
-         scan rest
-     | _ :: rest -> scan rest
-     | [] -> ()
-   in
-   try scan !extra_serve_args with Failure _ -> fatal "bad --groups value");
-  with_tmpdir churn_phase;
-  if !failures > 0 then begin
-    Format.eprintf "federation-smoke: %d failure(s)@." !failures;
-    exit 1
-  end;
-  Format.printf "federation-smoke: OK@."
+let () = Smoke.run ~name:"federation-smoke" [ churn ]

@@ -20,87 +20,17 @@
 
    Exit 0 on success, 1 with a one-line reason on any failure. *)
 
-let exe = ref ""
-let failures = ref 0
+open Harness
 
-let fail fmt =
-  Format.kasprintf
-    (fun msg ->
-      incr failures;
-      Format.eprintf "obs-smoke: FAIL %s@." msg)
-    fmt
-
-let fatal fmt =
-  Format.kasprintf
-    (fun msg ->
-      Format.eprintf "obs-smoke: FATAL %s@." msg;
-      exit 1)
-    fmt
-
-let with_tmpdir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fairsched-obs-smoke-%d" (Unix.getpid ()))
-  in
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
-  (try rm dir with Sys_error _ | Unix.Unix_error _ -> ());
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () -> try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
-let devnull () = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644
-
-let spawn args =
-  let out = devnull () in
-  let pid =
-    Unix.create_process !exe
-      (Array.of_list (Filename.basename !exe :: args))
-      Unix.stdin out Unix.stderr
-  in
-  Unix.close out;
-  pid
-
-let reap pid =
-  try snd (Unix.waitpid [] pid) with Unix.Unix_error _ -> Unix.WEXITED 0
-
-let kill9 pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  ignore (reap pid)
-
-let run_cli args =
-  match reap (spawn args) with
-  | Unix.WEXITED c -> c
-  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> 255
-
-let connect_retry addr =
-  let rec go n =
-    match Service.Client.connect addr with
-    | Ok c -> c
-    | Error e ->
-        if n = 0 then fatal "connect: %s" (Service.Client.error_to_string e)
-        else begin
-          Unix.sleepf 0.05;
-          go (n - 1)
-        end
-  in
-  go 200
+let fail = Smoke.fail
 
 let read_json path =
   match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error msg -> fatal "read %s: %s" path msg
+  | exception Sys_error msg -> failwith (Printf.sprintf "read %s: %s" path msg)
   | contents -> (
       match Obs.Json.of_string contents with
       | Ok j -> j
-      | Error msg -> fatal "parse %s: %s" path msg)
+      | Error msg -> failwith (Printf.sprintf "parse %s: %s" path msg))
 
 (* --- metrics assertions -------------------------------------------------- *)
 
@@ -160,7 +90,7 @@ let check_trace ~workers trace =
       Option.bind (Obs.Json.member trace "traceEvents") Obs.Json.get_list
     with
     | Some evs -> evs
-    | None -> fatal "trace: missing traceEvents array"
+    | None -> failwith "trace: missing traceEvents array"
   in
   if events = [] then fail "trace: no events captured";
   let span_pids = Hashtbl.create 8 in
@@ -221,100 +151,77 @@ let check_log path =
 
 (* --- the run ------------------------------------------------------------- *)
 
-let () =
-  if Array.length Sys.argv < 2 then fatal "usage: obs_smoke FAIRSCHED_EXE";
-  exe :=
-    (if Filename.is_relative Sys.argv.(1) then
-       Filename.concat (Sys.getcwd ()) Sys.argv.(1)
-     else Sys.argv.(1));
+let live_plane dir =
   let orgs = 8 and machines = 16 and groups = 4 and shards = 4 in
   let horizon = 1_000_000 and seed = 7 and count = 1_200 in
-  with_tmpdir (fun dir ->
-      let sock = Filename.concat dir "obs.sock" in
-      let log = Filename.concat dir "daemon.ndjson" in
-      let shape =
-        [
-          "--orgs"; string_of_int orgs; "--machines"; string_of_int machines;
-          "--horizon"; string_of_int horizon; "--seed"; string_of_int seed;
-        ]
-      in
-      let pid =
-        spawn
+  let sock = Filename.concat dir "obs.sock" in
+  let log = Filename.concat dir "daemon.ndjson" in
+  let shape =
+    [
+      "--orgs"; string_of_int orgs; "--machines"; string_of_int machines;
+      "--horizon"; string_of_int horizon; "--seed"; string_of_int seed;
+    ]
+  in
+  let pid =
+    Smoke.serve
+      ([
+         "--listen"; "unix:" ^ sock;
+         "--state"; Filename.concat dir "state";
+         "--algorithm"; "rand-4";
+         "--groups"; string_of_int groups;
+         "--shards"; string_of_int shards;
+         "--commit-interval"; "2"; "--federation";
+         "--log-level"; "info"; "--log-file"; log;
+       ]
+      @ shape)
+  in
+  Fun.protect
+    ~finally:(fun () -> kill9 pid)
+    (fun () ->
+      let addr = Service.Addr.Unix_sock sock in
+      Service.Client.close (connect_retry addr);
+      (* Rate-limited so the stream is still flowing when we scrape:
+         1200 jobs at 600/s is a ~2 s window. *)
+      let load_pid =
+        spawn ~exe:!Smoke.exe
           ([
-             "serve"; "--listen"; "unix:" ^ sock;
-             "--state"; Filename.concat dir "state";
-             "--algorithm"; "rand-4";
-             "--groups"; string_of_int groups;
-             "--shards"; string_of_int shards;
-             "--commit-interval"; "2"; "--federation";
-             "--log-level"; "info"; "--log-file"; log;
+             "loadgen"; "--to"; sock; "--count"; string_of_int count;
+             "--rate"; "600";
+             "--connections"; string_of_int groups;
+             "--groups"; string_of_int groups; "--window"; "8";
            ]
           @ shape)
       in
-      Fun.protect
-        ~finally:(fun () -> kill9 pid)
-        (fun () ->
-          let addr = Service.Addr.Unix_sock sock in
-          Service.Client.close (connect_retry addr);
-          (* Rate-limited so the stream is still flowing when we scrape:
-             1200 jobs at 600/s is a ~2 s window. *)
-          let load_pid =
-            spawn
-              ([
-                 "loadgen"; "--to"; sock; "--count"; string_of_int count;
-                 "--rate"; "600";
-                 "--connections"; string_of_int groups;
-                 "--groups"; string_of_int groups; "--window"; "8";
-               ]
-              @ shape)
-          in
-          Unix.sleepf 0.7;
-          (* Mid-run scrape: the plane must answer while shards are busy. *)
-          let mid_metrics = Filename.concat dir "metrics-mid.json" in
-          let mid_trace = Filename.concat dir "trace-mid.json" in
-          (let code = run_cli [ "ctl"; "metrics"; "--to"; sock; mid_metrics ] in
-           if code <> 0 then fail "mid-run `ctl metrics` exited %d" code);
-          (let code = run_cli [ "ctl"; "trace"; "--to"; sock; mid_trace ] in
-           if code <> 0 then fail "mid-run `ctl trace` exited %d" code);
-          (match reap load_pid with
-          | Unix.WEXITED 0 -> ()
-          | Unix.WEXITED c -> fail "loadgen exited %d" c
-          | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> fail "loadgen was signaled");
-          (* Endowment churn through the real CLI: org 0 leaves the
-             consortium and rejoins (readmit-all), so the membership
-             gauges have seen an actual transition, not just the boot
-             state. *)
-          (let code = run_cli [ "endow"; "leave"; "--to"; sock; "--org"; "0" ] in
-           if code <> 0 then fail "`endow leave` exited %d" code);
-          (let code = run_cli [ "endow"; "join"; "--to"; sock; "--org"; "0" ] in
-           if code <> 0 then fail "`endow join` exited %d" code);
-          (* Let a worker pump publish the post-join membership: the SLO
-             publication is throttled to 0.25 s and the join's own pump may
-             fall inside the throttle window, so cover the 1 s idle tick. *)
-          Unix.sleepf 1.2;
-          (* Post-run scrape: by now every org has submitted, so the full
-             gauge set must be live. *)
-          let metrics_file = Filename.concat dir "metrics.json" in
-          let trace_file = Filename.concat dir "trace.json" in
-          (let code = run_cli [ "ctl"; "metrics"; "--to"; sock; metrics_file ] in
-           if code <> 0 then fail "`ctl metrics` exited %d" code);
-          (let code =
-             run_cli
-               [ "ctl"; "trace"; "--to"; sock; trace_file; "--limit"; "3000" ]
-           in
-           if code <> 0 then fail "`ctl trace` exited %d" code);
-          check_metrics ~orgs ~shard_groups:groups (read_json metrics_file);
-          (* The merged trace must satisfy the in-tree validator and carry
-             every lane: router pid 1, shard workers pids 2..2+W-1. *)
-          (let code = run_cli [ "validate-trace"; trace_file ] in
-           if code <> 0 then fail "`validate-trace` exited %d" code);
-          let workers = if shards < groups then shards else groups in
-          check_trace ~workers (read_json trace_file);
-          check_log log;
-          let code = run_cli [ "ctl"; "drain"; "--to"; sock ] in
-          if code <> 0 then fail "`ctl drain` exited %d" code));
-  if !failures > 0 then begin
-    Format.eprintf "obs-smoke: %d failure(s)@." !failures;
-    exit 1
-  end;
-  Format.printf "obs-smoke: OK@."
+      Unix.sleepf 0.7;
+      (* Mid-run scrape: the plane must answer while shards are busy. *)
+      Smoke.expect_cli
+        [ "ctl"; "metrics"; "--to"; sock; Filename.concat dir "metrics-mid.json" ];
+      Smoke.expect_cli
+        [ "ctl"; "trace"; "--to"; sock; Filename.concat dir "trace-mid.json" ];
+      Smoke.expect_clean_exit ~ctx:"loadgen" load_pid;
+      (* Endowment churn through the real CLI: org 0 leaves the
+         consortium and rejoins (readmit-all), so the membership
+         gauges have seen an actual transition, not just the boot
+         state. *)
+      Smoke.expect_cli [ "endow"; "leave"; "--to"; sock; "--org"; "0" ];
+      Smoke.expect_cli [ "endow"; "join"; "--to"; sock; "--org"; "0" ];
+      (* Let a worker pump publish the post-join membership: the SLO
+         publication is throttled to 0.25 s and the join's own pump may
+         fall inside the throttle window, so cover the 1 s idle tick. *)
+      Unix.sleepf 1.2;
+      (* Post-run scrape: by now every org has submitted, so the full
+         gauge set must be live. *)
+      let metrics_file = Filename.concat dir "metrics.json" in
+      let trace_file = Filename.concat dir "trace.json" in
+      Smoke.expect_cli [ "ctl"; "metrics"; "--to"; sock; metrics_file ];
+      Smoke.expect_cli
+        [ "ctl"; "trace"; "--to"; sock; trace_file; "--limit"; "3000" ];
+      check_metrics ~orgs ~shard_groups:groups (read_json metrics_file);
+      (* The merged trace must satisfy the in-tree validator and carry
+         every lane: router pid 1, shard workers pids 2..2+W-1. *)
+      Smoke.expect_cli [ "validate-trace"; trace_file ];
+      check_trace ~workers:(min shards groups) (read_json trace_file);
+      check_log log;
+      Smoke.expect_cli [ "ctl"; "drain"; "--to"; sock ])
+
+let () = Smoke.run ~name:"obs-smoke" [ live_plane ]

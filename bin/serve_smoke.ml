@@ -15,182 +15,26 @@
    Any argv after the exe path is passed through to every `serve`
    invocation — `serve_smoke fairsched --groups 2 --shards 2
    --commit-interval 2` re-runs the whole gauntlet against a sharded,
-   group-committing daemon.  The smoke parses --groups/--shards/
-   --commit-interval out of the passthrough to shape its expectations:
-   with groups > 1 the golden ψsp/stats come from per-group batch-
-   equivalent engines over Partition.sub_config (grouping changes the
-   game — each consortium pools only its own machines), loadgen mirrors
-   the partition with one pipelined connection per group, and a group-
-   committing daemon must report fewer fsyncs than acks.
+   group-committing daemon.  The smoke reads --groups/--shards/
+   --commit-interval back out of the passthrough to shape its
+   expectations: with groups > 1 the golden ψsp/stats come from per-group
+   engines (Harness.golden), loadgen mirrors the partition with one
+   pipelined connection per group, and a group-committing daemon must
+   report fewer fsyncs than acks. *)
 
-   Exit 0 on success, 1 with a one-line reason on any failure. *)
+open Harness
 
-let exe = ref ""
-let extra_serve_args = ref []
+let groups () = Smoke.arg ~default:1 "--groups" int_of_string_opt
+let shards () = Smoke.arg ~default:1 "--shards" int_of_string_opt
 
-(* Parsed back out of [extra_serve_args] to shape expectations. *)
-let groups = ref 1
-let shards = ref 1
-let commit_interval_ms = ref 0.
-let failures = ref 0
+let commit_interval_ms () =
+  Smoke.arg ~default:0. "--commit-interval" float_of_string_opt
 
-let fail fmt =
-  Format.kasprintf
-    (fun msg ->
-      incr failures;
-      Format.eprintf "serve-smoke: FAIL %s@." msg)
-    fmt
+(* --- scenario 1: crash recovery --------------------------------------------- *)
 
-let fatal fmt =
-  Format.kasprintf
-    (fun msg ->
-      Format.eprintf "serve-smoke: FATAL %s@." msg;
-      exit 1)
-    fmt
-
-let with_tmpdir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fairsched-smoke-%d" (Unix.getpid ()))
-  in
-  let rec rm path =
-    if Sys.file_exists path then
-      if Sys.is_directory path then begin
-        Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-        Unix.rmdir path
-      end
-      else Sys.remove path
-  in
-  (try rm dir with Sys_error _ | Unix.Unix_error _ -> ());
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
-(* --- child-process plumbing ---------------------------------------------- *)
-
-let devnull () = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0o644
-
-let spawn_serve args =
-  let out = devnull () in
-  let pid =
-    Unix.create_process !exe
-      (Array.of_list
-         (Filename.basename !exe :: "serve" :: (args @ !extra_serve_args)))
-      Unix.stdin out Unix.stderr
-  in
-  Unix.close out;
-  pid
-
-let reap pid =
-  try snd (Unix.waitpid [] pid) with Unix.Unix_error _ -> Unix.WEXITED 0
-
-let kill9 pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  ignore (reap pid)
-
-let run_cli args =
-  let out = devnull () in
-  let pid =
-    Unix.create_process !exe
-      (Array.of_list (Filename.basename !exe :: args))
-      Unix.stdin out Unix.stderr
-  in
-  Unix.close out;
-  match reap pid with
-  | Unix.WEXITED c -> c
-  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> 255
-
-let connect_retry addr =
-  let rec go n =
-    match Service.Client.connect addr with
-    | Ok c -> c
-    | Error e ->
-        if n = 0 then fatal "connect: %s" (Service.Client.error_to_string e)
-        else begin
-          Unix.sleepf 0.05;
-          go (n - 1)
-        end
-  in
-  go 200
-
-let request client req =
-  match Service.Client.request client req with
-  | Ok resp -> resp
-  | Error e -> fatal "request: %s" (Service.Client.error_to_string e)
-
-let submit_job client (j : Core.Job.t) =
-  match
-    request client
-      (Service.Protocol.Submit
-         {
-           org = j.Core.Job.org;
-           user = j.Core.Job.user;
-           release = j.Core.Job.release;
-           size = j.Core.Job.size;
-           cid = 0;
-           cseq = 0;
-           trace = 0;
-         })
-  with
-  | Service.Protocol.Submit_ok { index; _ } ->
-      if index <> j.Core.Job.index then
-        fail "served rank %d <> batch rank %d" index j.Core.Job.index
-  | Service.Protocol.Error { msg; _ } -> fatal "submit rejected: %s" msg
-  | _ -> fatal "submit: unexpected response"
-
-(* --- phase 1: crash recovery --------------------------------------------- *)
-
-(* The golden outcome the daemon must reproduce.  Unsharded, that is the
-   batch Sim.Driver.run of the full instance.  With --groups G > 1 the
-   daemon plays G independent games (each group pools only its own
-   machine block), so the golden ψsp/stats come from one batch-equivalent
-   Online engine per group over Partition.sub_config, fed the same jobs
-   with org ids localized — scattered and summed back to global shape. *)
-let expected_outcome ~service ~algorithm ~seed instance =
-  if !groups = 1 then
-    let batch =
-      Sim.Driver.run ~instance
-        ~rng:(Fstats.Rng.create ~seed)
-        (Algorithms.Registry.find_exn algorithm)
-    in
-    (batch.Sim.Driver.utilities_scaled, batch.Sim.Driver.stats)
-  else begin
-    let p = Service.Partition.make service in
-    let sessions =
-      Array.init !groups (fun g ->
-          Service.Online.create (Service.Partition.sub_config p g))
-    in
-    Array.iter
-      (fun (j : Core.Job.t) ->
-        let g = Service.Partition.group_of_org p j.Core.Job.org in
-        match
-          Service.Online.submit sessions.(g)
-            ~org:(Service.Partition.local_org p j.Core.Job.org)
-            ~user:j.Core.Job.user ~size:j.Core.Job.size
-            ~release:j.Core.Job.release ()
-        with
-        | Ok _ -> ()
-        | Error e ->
-            fatal "grouped golden submit: %s" (Service.Online.error_to_string e))
-      instance.Core.Instance.jobs;
-    Array.iter Service.Online.drain sessions;
-    let psi =
-      Service.Partition.scatter_int p (fun g ->
-          Service.Online.psi_scaled sessions.(g))
-    in
-    let stats =
-      Kernel.Stats.total
-        (Array.to_list (Array.map Service.Online.stats sessions))
-    in
-    (psi, stats)
-  end
-
-let crash_recovery_phase dir =
-  let seed = 2013 and horizon = 20_000 and norgs = 3 and machines = 6 in
-  let norgs = if !groups > norgs then !groups else norgs in
+let crash_recovery dir =
+  let seed = 2013 and horizon = 20_000 and machines = 6 in
+  let norgs = max 3 (groups ()) in
   let algorithm = "fairshare" in
   let spec =
     Workload.Scenario.default ~norgs ~machines ~horizon
@@ -199,19 +43,19 @@ let crash_recovery_phase dir =
   let instance = Workload.Scenario.instance spec ~seed in
   let service =
     match
-      Service.Config.make ~groups:!groups
+      Service.Config.make ~groups:(groups ())
         ~machines:(fst (Workload.Scenario.split_and_map spec ~seed))
         ~horizon ~algorithm ~seed ()
     with
     | Ok c -> c
-    | Error msg -> fatal "config: %s" msg
+    | Error msg -> failwith ("config: " ^ msg)
   in
   let expected_psi, expected_stats =
-    expected_outcome ~service ~algorithm ~seed instance
+    golden ~service instance (jobs_of instance)
   in
   let jobs = instance.Core.Instance.jobs in
   let split = Array.length jobs / 2 in
-  if split < 3 then fatal "golden instance too small (%d jobs)" (Array.length jobs);
+  if split < 3 then Smoke.fatal "golden instance too small (%d jobs)" (Array.length jobs);
   let sock = Filename.concat dir "smoke.sock" in
   let state = Filename.concat dir "state" in
   let addr = Service.Addr.Unix_sock sock in
@@ -224,58 +68,56 @@ let crash_recovery_phase dir =
     ]
   in
   (* First life: half the stream, a forced snapshot, then kill -9. *)
-  let pid = spawn_serve serve_args in
+  let pid = Smoke.serve serve_args in
   let client = connect_retry addr in
   Array.iteri (fun i j -> if i < split then submit_job client j) jobs;
   (match request client Service.Protocol.Snapshot with
   | Service.Protocol.Snapshot_ok _ -> ()
-  | _ -> fatal "snapshot: unexpected response");
+  | _ -> failwith "snapshot: unexpected response");
   kill9 pid;
   Service.Client.close client;
+  (* Every group count logs to one wal-<g>/ segment per group. *)
+  for g = 0 to groups () - 1 do
+    if not (Sys.file_exists (Service.Wal.segment_dir ~dir:state ~group:g)) then
+      Smoke.fail "state dir lacks segment wal-%d/" g
+  done;
   (* Second life: recovery must surface every acked submission, and the
      finished run must match the uninterrupted batch bit for bit. *)
-  let pid = spawn_serve serve_args in
+  let pid = Smoke.serve serve_args in
   let client = connect_retry addr in
   (match request client Service.Protocol.Status with
   | Service.Protocol.Status_ok st ->
       if st.Service.Protocol.accepted <> split then
-        fail "recovered %d acked submissions, expected %d"
+        Smoke.fail "recovered %d acked submissions, expected %d"
           st.Service.Protocol.accepted split
-  | _ -> fatal "status: unexpected response");
-  (* The CLI clients against the live daemon. *)
-  (let code = run_cli [ "status"; "--to"; sock ] in
-   if code <> 0 then fail "`fairsched status` exited %d" code);
-  (let code = run_cli [ "ctl"; "psi"; "--to"; sock ] in
-   if code <> 0 then fail "`fairsched ctl psi` exited %d" code);
-  (* Offline durability inspection of the live state dir (flat, or one
-     wal-<g>/ segment per group under sharding). *)
-  (let code = run_cli [ "ctl"; "wal-check"; state ] in
-   if code <> 0 then fail "`fairsched ctl wal-check` exited %d" code);
+  | _ -> failwith "status: unexpected response");
+  (* The CLI clients against the live daemon, and the offline durability
+     inspection of its state dir. *)
+  Smoke.expect_cli [ "status"; "--to"; sock ];
+  Smoke.expect_cli [ "ctl"; "psi"; "--to"; sock ];
+  Smoke.expect_cli [ "ctl"; "wal-check"; state ];
   Array.iteri (fun i j -> if i >= split then submit_job client j) jobs;
   (match request client (Service.Protocol.Drain { detail = false }) with
   | Service.Protocol.Drain_ok r ->
       if r.Service.Protocol.d_psi_scaled <> expected_psi then
-        fail "psi after crash differs from batch";
+        Smoke.fail "psi after crash differs from batch";
       if
         Kernel.Stats.to_json r.Service.Protocol.d_stats
         <> Kernel.Stats.to_json expected_stats
-      then fail "kernel stats after crash differ from batch"
-  | _ -> fatal "drain: unexpected response");
+      then Smoke.fail "kernel stats after crash differ from batch"
+  | _ -> failwith "drain: unexpected response");
   Service.Client.close client;
-  (match reap pid with
-  | Unix.WEXITED 0 -> ()
-  | Unix.WEXITED c -> fail "drained daemon exited %d" c
-  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> fail "drained daemon was signaled");
-  if !failures = 0 then
+  Smoke.expect_clean_exit pid;
+  if !Smoke.failures = 0 then
     Format.printf "serve-smoke: crash recovery OK (%d jobs, split at %d)@."
       (Array.length jobs) split
 
-(* --- phase 2: submit via CLI against an ephemeral daemon ------------------ *)
+(* --- scenario 2: submit via CLI against an ephemeral daemon ----------------- *)
 
-let cli_submit_phase dir =
+let cli_submit dir =
   let sock = Filename.concat dir "cli.sock" in
   let pid =
-    spawn_serve
+    Smoke.serve
       [
         "--listen"; sock; "--orgs"; "2"; "--machines"; "4";
         "--horizon"; "1000"; "--algorithm"; "fifo";
@@ -285,24 +127,21 @@ let cli_submit_phase dir =
     ~finally:(fun () -> kill9 pid)
     (fun () ->
       Service.Client.close (connect_retry (Service.Addr.Unix_sock sock));
-      let code =
-        run_cli [ "submit"; "--to"; sock; "--org"; "1"; "--size"; "5" ]
-      in
-      if code <> 0 then fail "`fairsched submit` exited %d" code;
-      let code = run_cli [ "ctl"; "drain"; "--to"; sock ] in
-      if code <> 0 then fail "`fairsched ctl drain` exited %d" code)
+      Smoke.expect_cli [ "submit"; "--to"; sock; "--org"; "1"; "--size"; "5" ];
+      Smoke.expect_cli [ "ctl"; "drain"; "--to"; sock ])
 
-(* --- phase 3: loadgen throughput ----------------------------------------- *)
+(* --- scenario 3: loadgen throughput ------------------------------------------ *)
 
-let loadgen_phase dir =
+let loadgen dir =
   let seed = 9 and count = 2_000 in
+  let groups = groups () and group_commit = commit_interval_ms () > 0. in
   let spec =
     Workload.Scenario.default ~norgs:3 ~machines:8 ~horizon:1_000_000
       Workload.Traces.lpc_egee
   in
   let sock = Filename.concat dir "load.sock" in
   let pid =
-    spawn_serve
+    Smoke.serve
       ([
          "--listen"; sock; "--orgs"; "3"; "--machines"; "8";
          "--horizon"; "1000000"; "--seed"; string_of_int seed;
@@ -312,8 +151,7 @@ let loadgen_phase dir =
       (* Group commit is about WAL fsyncs: give the daemon a state dir
          when that is what this run exercises (otherwise stay ephemeral,
          the classic throughput floor). *)
-      if !commit_interval_ms > 0. then
-        [ "--state"; Filename.concat dir "load-state" ]
+      if group_commit then [ "--state"; Filename.concat dir "load-state" ]
       else [])
   in
   Fun.protect
@@ -324,7 +162,6 @@ let loadgen_phase dir =
       (* Mirror the daemon's shape: one connection per org-group, and —
          when group commit is on — a pipelined window so one fsync can
          cover many acks. *)
-      let window = if !commit_interval_ms > 0. then 32 else 1 in
       let report =
         match
           Service.Loadgen.run
@@ -337,81 +174,47 @@ let loadgen_phase dir =
               drain = false;
               policy = Service.Retry.default;
               timeout_s = 5.0;
-              connections = !groups;
-              groups = !groups;
-              window;
+              connections = groups;
+              groups;
+              window = (if group_commit then 32 else 1);
             }
         with
         | Ok r -> r
-        | Error msg -> fatal "loadgen: %s" msg
+        | Error msg -> failwith ("loadgen: " ^ msg)
       in
       Format.printf "serve-smoke: loadgen %a@." Service.Loadgen.pp_report
         report;
       if report.Service.Loadgen.accepted <> count then
-        fail "loadgen accepted %d of %d" report.Service.Loadgen.accepted count;
+        Smoke.fail "loadgen accepted %d of %d" report.Service.Loadgen.accepted
+          count;
       if report.Service.Loadgen.errors <> 0 then
-        fail "loadgen transport errors: %d" report.Service.Loadgen.errors;
+        Smoke.fail "loadgen transport errors: %d" report.Service.Loadgen.errors;
       if report.Service.Loadgen.ack_latency.Obs.Metrics.count <> count then
-        fail "ack-latency histogram incomplete";
+        Smoke.fail "ack-latency histogram incomplete";
       (* The acceptance floor: >= 1000 sustained submissions per second. *)
       if report.Service.Loadgen.achieved_rate < 1000. then
-        fail "throughput %.0f/s below the 1000/s floor"
+        Smoke.fail "throughput %.0f/s below the 1000/s floor"
           report.Service.Loadgen.achieved_rate;
       (* The daemon's own view: the partition it reported must be the one
          we asked for, and group commit must have amortized fsyncs. *)
       let client = connect_retry addr in
       (match request client Service.Protocol.Status with
       | Service.Protocol.Status_ok st ->
-          if st.Service.Protocol.groups <> !groups then
-            fail "daemon reports %d groups, expected %d"
-              st.Service.Protocol.groups !groups;
-          let w = if !shards < !groups then !shards else !groups in
-          let w = if w < 1 then 1 else w in
+          if st.Service.Protocol.groups <> groups then
+            Smoke.fail "daemon reports %d groups, expected %d"
+              st.Service.Protocol.groups groups;
+          let w = max 1 (min (shards ()) groups) in
           if st.Service.Protocol.shards <> w then
-            fail "daemon reports %d shards, expected %d"
+            Smoke.fail "daemon reports %d shards, expected %d"
               st.Service.Protocol.shards w;
-          if
-            !commit_interval_ms > 0.
-            && st.Service.Protocol.fsyncs >= st.Service.Protocol.accepted
+          if group_commit && st.Service.Protocol.fsyncs >= st.Service.Protocol.accepted
           then
-            fail "group commit did not amortize: %d fsyncs for %d accepted"
+            Smoke.fail "group commit did not amortize: %d fsyncs for %d accepted"
               st.Service.Protocol.fsyncs st.Service.Protocol.accepted
-      | _ -> fatal "status: unexpected response");
+      | _ -> failwith "status: unexpected response");
       (match request client (Service.Protocol.Drain { detail = false }) with
       | Service.Protocol.Drain_ok _ -> ()
-      | _ -> fatal "drain: unexpected response");
+      | _ -> failwith "drain: unexpected response");
       Service.Client.close client)
 
-let () =
-  if Array.length Sys.argv < 2 then
-    fatal "usage: serve_smoke FAIRSCHED_EXE [SERVE_ARGS...]";
-  exe :=
-    (if Filename.is_relative Sys.argv.(1) then
-       Filename.concat (Sys.getcwd ()) Sys.argv.(1)
-     else Sys.argv.(1));
-  extra_serve_args :=
-    Array.to_list (Array.sub Sys.argv 2 (Array.length Sys.argv - 2));
-  (let rec scan = function
-     | "--groups" :: v :: rest ->
-         groups := int_of_string v;
-         scan rest
-     | "--shards" :: v :: rest ->
-         shards := int_of_string v;
-         scan rest
-     | "--commit-interval" :: v :: rest ->
-         commit_interval_ms := float_of_string v;
-         scan rest
-     | _ :: rest -> scan rest
-     | [] -> ()
-   in
-   try scan !extra_serve_args
-   with Failure _ -> fatal "bad --groups/--shards/--commit-interval value");
-  with_tmpdir (fun dir ->
-      crash_recovery_phase dir;
-      cli_submit_phase dir;
-      loadgen_phase dir);
-  if !failures > 0 then begin
-    Format.eprintf "serve-smoke: %d failure(s)@." !failures;
-    exit 1
-  end;
-  Format.printf "serve-smoke: OK@."
+let () = Smoke.run ~name:"serve-smoke" [ crash_recovery; cli_submit; loadgen ]

@@ -206,6 +206,10 @@ let pp ppf () =
             s.p50 s.p90 s.p99 s.max)
     (snapshot ())
 
+let clear h =
+  Array.iter (Array.iter (fun cell -> Atomic.set cell 0)) h.shards;
+  Atomic.set h.hmax 0L
+
 let reset () =
   Mutex.lock registry_mutex;
   Hashtbl.iter
@@ -213,8 +217,6 @@ let reset () =
       match h with
       | C c -> Array.iter (fun cell -> Atomic.set cell 0) c.cells
       | G g -> Atomic.set g.bits 0L
-      | H h ->
-          Array.iter (Array.iter (fun cell -> Atomic.set cell 0)) h.shards;
-          Atomic.set h.hmax 0L)
+      | H h -> clear h)
     registry;
   Mutex.unlock registry_mutex

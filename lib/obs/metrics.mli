@@ -67,6 +67,9 @@ val pp : Format.formatter -> unit -> unit
 val reset : unit -> unit
 (** Zero every registered metric (registrations and handles stay valid). *)
 
+val clear : histogram -> unit
+(** Zero one histogram, leaving every other metric as it is. *)
+
 (** {1 Histogram buckets} — the pure core, exposed for property tests *)
 
 module Hist : sig

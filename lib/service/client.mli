@@ -71,7 +71,7 @@ module Resilient : sig
   val cid : conn -> int
 
   val call : conn -> Protocol.request -> (Protocol.response, error) result
-  (** Send with retries.  [Submit]/[Fault] requests are stamped with this
+  (** Send with retries.  Feed requests are stamped with this
       connection's [cid] and the next [cseq] {e once}, before the first
       attempt — every retransmission carries the same stamp, so the
       server's dedupe table makes the retry loop at-most-once.  Retries

@@ -346,6 +346,9 @@ let run cfg =
     let per_conn = Array.map (fun l -> Array.of_list (List.rev l)) per_conn in
     Obs.Metrics.set_enabled true;
     let hist = Obs.Metrics.histogram "loadgen.ack_latency_us" in
+    (* the report describes this run alone, not every run before it in
+       the same process *)
+    Obs.Metrics.clear hist;
     (* The retry jitter stream must not perturb the workload: the job
        stream consumes [seed] directly, the clients a derived stream. *)
     let rngs =

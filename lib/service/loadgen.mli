@@ -7,7 +7,8 @@
     line up by construction.  The generator paces submissions at a target
     arrival rate (wall-clock) and records the submit-to-ack round trip in
     an {!Obs.Metrics} histogram (["loadgen.ack_latency_us"],
-    microseconds).  Submit-to-start latency is the {e server's}
+    microseconds), cleared at the start of every {!run} so each report
+    covers its own run.  Submit-to-start latency is the {e server's}
     ["sim.job_wait"] histogram (simulated time), surfaced through the
     final STATUS response when the daemon runs with [--metrics].
 

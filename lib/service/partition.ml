@@ -37,6 +37,22 @@ let org_range t g = (t.org_lo.(g), t.org_lo.(g + 1))
 let machine_range t g = (t.mach_lo.(g), t.mach_lo.(g + 1))
 let local_org t o = o - t.org_lo.(t.org_owner.(o))
 let local_machine t m = m - t.mach_lo.(t.mach_owner.(m))
+let local_fault t = function
+  | Faults.Event.Fail m -> Faults.Event.Fail (local_machine t m)
+  | Faults.Event.Recover m -> Faults.Event.Recover (local_machine t m)
+
+let local_endow t event =
+  let lorg = local_org t and lmachs = List.map (local_machine t) in
+  match event with
+  | Federation.Event.Join { org; machines } ->
+      Federation.Event.Join { org = lorg org; machines = lmachs machines }
+  | Federation.Event.Leave { org } -> Federation.Event.Leave { org = lorg org }
+  | Federation.Event.Lend { org; to_org; machines } ->
+      Federation.Event.Lend
+        { org = lorg org; to_org = lorg to_org; machines = lmachs machines }
+  | Federation.Event.Reclaim { org; machines } ->
+      Federation.Event.Reclaim { org = lorg org; machines = lmachs machines }
+
 let global_org t ~group lo = t.org_lo.(group) + lo
 let global_machine t ~group lm = t.mach_lo.(group) + lm
 

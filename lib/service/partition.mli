@@ -43,6 +43,15 @@ val local_org : t -> int -> int
 
 val local_machine : t -> int -> int
 
+val local_fault : t -> Faults.Event.t -> Faults.Event.t
+(** A fault event under global machine ids, translated to the owning
+    group's local ids. *)
+
+val local_endow : t -> Federation.Event.t -> Federation.Event.t
+(** An endowment event under global ids, translated to the local ids of
+    the group owning every org and machine it names (the router refuses
+    cross-group events before they reach a shard). *)
+
 val global_org : t -> group:int -> int -> int
 (** Local org index of [group] back to the global id. *)
 

@@ -34,6 +34,19 @@ type request =
 
 let default_trace_limit = 3000
 
+let stamp = function
+  | Submit { cid; cseq; trace; _ }
+  | Fault { cid; cseq; trace; _ }
+  | Endow { cid; cseq; trace; _ } ->
+      Some (cid, cseq, trace)
+  | Status | Psi | Snapshot | Drain _ | Metrics | Trace _ -> None
+
+let with_stamp ~cid ~cseq ~trace = function
+  | Submit s -> Submit { s with cid; cseq; trace }
+  | Fault f -> Fault { f with cid; cseq; trace }
+  | Endow e -> Endow { e with cid; cseq; trace }
+  | (Status | Psi | Snapshot | Drain _ | Metrics | Trace _) as req -> req
+
 type status = {
   now : int;
   frontier : int;

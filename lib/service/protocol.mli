@@ -69,6 +69,13 @@ val default_trace_limit : int
 (** Event cap a [{"op":"trace"}] request gets when it names none (3000 —
     comfortably under {!max_line} once serialized). *)
 
+val stamp : request -> (int * int * int) option
+(** [(cid, cseq, trace)] of a feed request ([Submit]/[Fault]/[Endow]);
+    [None] for control requests, which are never routed to a shard. *)
+
+val with_stamp : cid:int -> cseq:int -> trace:int -> request -> request
+(** Replace a feed request's stamp; control requests pass unchanged. *)
+
 type status = {
   now : int;
   frontier : int;

@@ -90,11 +90,7 @@ let emit conn resp =
   if not conn.closed then
     Buffer.add_string conn.out (Protocol.response_to_line resp)
 
-let is_feed = function
-  | Protocol.Submit _ | Protocol.Fault _ | Protocol.Endow _ -> true
-  | Protocol.Status | Protocol.Psi | Protocol.Snapshot | Protocol.Drain _
-  | Protocol.Metrics | Protocol.Trace _ ->
-      false
+let is_feed req = Protocol.stamp req <> None
 
 let take_slot conn =
   let s = conn.next_slot in
@@ -196,12 +192,8 @@ let merge_snapshot s (parts : (int * string, string) result array) =
           (fun a r -> match r with Ok (sq, _) -> max a sq | Error _ -> a)
           0 parts
       in
-      let path =
-        if Partition.groups s.part = 1 then
-          match parts.(0) with Ok (_, p) -> p | Error _ -> assert false
-        else Option.value ~default:"" s.cfg.state_dir
-      in
-      Protocol.Snapshot_ok { seq; path }
+      Protocol.Snapshot_ok
+        { seq; path = Option.value ~default:"" s.cfg.state_dir }
 
 let merge_drain s (parts : Shard.drain_part array) =
   let open Shard in
@@ -359,12 +351,7 @@ let route_feed s conn slot req ~now =
            owning shard's [shard.feed] span on its own lane. *)
         (if Obs.Trace.enabled () then
            let trace =
-             match req with
-             | Protocol.Submit { trace; _ }
-             | Protocol.Fault { trace; _ }
-             | Protocol.Endow { trace; _ } ->
-                 trace
-             | _ -> 0
+             match Protocol.stamp req with Some (_, _, tr) -> tr | None -> 0
            in
            let args =
              ("group", Obs.Json.Int grp)
@@ -637,40 +624,35 @@ let ensure_dir dir =
       else if not (Sys.is_directory dir) then
         raise (Unix.Unix_error (Unix.ENOTDIR, "state dir", dir)))
 
-(* Resolve the durable identity and the on-disk layout.  A state dir is
-   either flat (the pre-sharding layout: wal.ndjson + snapshot.json at
-   top level, still written when groups = 1) or segmented (wal-0/ ..
-   wal-<G-1>/, one per org-group).  When the dir holds a previous life,
-   the recovered config wins over the command line — the durable
-   identity must match the log being replayed. *)
+(* Resolve the durable identity.  A state dir holds one segment
+   subdirectory wal-<g>/ per org-group — wal-0/ alone for a single-group
+   daemon.  When the dir holds a previous life, the recovered config wins
+   over the command line: the durable identity must match the log being
+   replayed.  A top-level wal.ndjson or snapshot.json is the flat layout
+   older builds wrote for one group; boot refuses it and names the move
+   that upgrades it, because starting fresh beside it would drop acked
+   work. *)
 let resolve_base cfg =
   let ( let* ) = Result.bind in
-  let resume dir c =
-    if not (Config.equal c cfg.service) then
-      Obs.Log.warn ~component:"server"
-        ~fields:[ ("state_dir", Obs.Json.String dir) ]
-        "state dir holds a different configuration; resuming it (the \
-         command-line config is ignored)";
-    c
-  in
   match cfg.state_dir with
   | None -> Ok cfg.service
   | Some dir -> (
       let* () = ensure_dir dir in
+      let flat =
+        List.filter Sys.file_exists [ Wal.wal_path ~dir; Wal.snapshot_path ~dir ]
+      in
+      let seg0 = Wal.segment_dir ~dir ~group:0 in
       match Wal.segments ~dir with
-      | [] -> (
-          let* r =
-            Result.map_error Wal.boot_error_to_string (Wal.recover ~dir)
-          in
-          match r.Wal.r_config with
-          | None -> Ok cfg.service
-          | Some c ->
-              if c.Config.groups > 1 then
-                Error
-                  (Printf.sprintf
-                     "state dir %s: flat WAL layout holds a %d-group config"
-                     dir c.Config.groups)
-              else Ok (resume dir c))
+      | _ when flat <> [] ->
+          Error
+            (Printf.sprintf
+               "state dir %s holds the flat single-group layout (%s), which \
+                this daemon no longer reads; move it into segment wal-0/ \
+                first: mkdir %s && mv %s %s/"
+               dir
+               (String.concat ", " (List.map Filename.basename flat))
+               seg0 (String.concat " " flat) seg0)
+      | [] -> Ok cfg.service
       | segs -> (
           let n = List.length segs in
           if segs <> List.init n Fun.id then
@@ -683,14 +665,13 @@ let resolve_base cfg =
                     (List.map (fun g -> Printf.sprintf "wal-%d" g) segs)))
           else
             let* r0 =
-              Result.map_error Wal.boot_error_to_string
-                (Wal.recover ~dir:(Wal.segment_dir ~dir ~group:0))
+              Result.map_error Wal.boot_error_to_string (Wal.recover ~dir:seg0)
             in
             match r0.Wal.r_config with
             | None ->
-                Error
-                  (Printf.sprintf
-                     "state dir %s: segment wal-0 has no config header" dir)
+                (* no header yet: the first boot died before acking
+                   anything, so there is nothing to resume *)
+                Ok cfg.service
             | Some c ->
                 if c.Config.groups <> n then
                   Error
@@ -698,7 +679,14 @@ let resolve_base cfg =
                        "state dir %s: config declares %d org-groups but %d \
                         segments exist"
                        dir c.Config.groups n)
-                else Ok (resume dir c)))
+                else begin
+                  if not (Config.equal c cfg.service) then
+                    Obs.Log.warn ~component:"server"
+                      ~fields:[ ("state_dir", Obs.Json.String dir) ]
+                      "state dir holds a different configuration; resuming \
+                       it (the command-line config is ignored)";
+                  Ok c
+                end))
 
 let run ?(ready = fun () -> ()) cfg =
   let ( let* ) = Result.bind in
@@ -711,11 +699,9 @@ let run ?(ready = fun () -> ()) cfg =
     match cfg.state_dir with
     | None -> Ok None
     | Some dir ->
-        if groups = 1 then Ok (Some dir)
-        else
-          let d = Wal.segment_dir ~dir ~group:grp in
-          let* () = ensure_dir d in
-          Ok (Some d)
+        let d = Wal.segment_dir ~dir ~group:grp in
+        let* () = ensure_dir d in
+        Ok (Some d)
   in
   let* sh =
     let rec go acc grp =

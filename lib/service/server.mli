@@ -112,8 +112,9 @@ val run : ?ready:(unit -> unit) -> config -> (unit, string) result
     is listening and recovery is complete (used by tests and by [serve]
     to print the listening line).  When the state dir holds a config
     from a previous life, the {e recovered} config wins over
-    [config.service] — including its [groups] count, which also fixes
-    the on-disk layout (flat for 1 group, [wal-<g>/] segments
-    otherwise); a note goes to stderr when they differ.  Errors (bind
-    failure, corrupt or inconsistent segments) come back as one-line
-    messages. *)
+    [config.service] — including its [groups] count, which fixes the
+    number of [wal-<g>/] segments; a note goes to stderr when they
+    differ.  Errors (bind failure, corrupt or inconsistent segments, a
+    flat single-group state dir from an older build, which is refused
+    untouched with the [mv] into [wal-0/] that upgrades it) come back as
+    one-line messages. *)

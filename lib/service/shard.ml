@@ -189,88 +189,62 @@ let depth_incr t = Atomic.incr t.depth
 let published_overloaded t = Atomic.get t.pub_overloaded
 let published_retry_ms t = Atomic.get t.pub_retry_ms
 
-(* --- Global<->local translation ------------------------------------------ *)
+(* --- The one admission path ------------------------------------------------
+   A feed is admitted as the WAL record it is logged under, and the live
+   path and recovery run the same functions over that value: [check]
+   validates it against the engine without mutating anything, [apply]
+   feeds it and returns the ack its client gets.  Records carry global
+   org/machine ids; the partition translates them to the group's local
+   ones (the router guarantees every id a record names lives in this
+   group).  Kernel determinism makes a replayed [apply] return exactly
+   the ack the live one did, so the dedupe cache rebuilds from the log. *)
 
-let local_event t = function
-  | Faults.Event.Fail m -> Faults.Event.Fail (Partition.local_machine t.part m)
-  | Faults.Event.Recover m ->
-      Faults.Event.Recover (Partition.local_machine t.part m)
+let check ~part online = function
+  | Wal.Submit { org; size; release; _ } ->
+      Online.check_submit online ~org:(Partition.local_org part org) ~size
+        ~release
+  | Wal.Fault { time; event; _ } ->
+      Online.check_fault online ~time (Partition.local_fault part event)
+  | Wal.Endow { time; event; _ } ->
+      Online.check_endow online ~time (Partition.local_endow part event)
+  | Wal.Mode _ -> Ok ()
 
-(* Endowment events arrive under global ids; the engine speaks the
-   group's local ones.  The router guarantees every org and machine the
-   event names lives in this group (cross-group endows are rejected at
-   admission), so the translation is total. *)
-let local_endow_event ~part event =
-  let lorg o = Partition.local_org part o in
-  let lmachs ms = List.map (Partition.local_machine part) ms in
-  match event with
-  | Federation.Event.Join { org; machines } ->
-      Federation.Event.Join { org = lorg org; machines = lmachs machines }
-  | Federation.Event.Leave { org } ->
-      Federation.Event.Leave { org = lorg org }
-  | Federation.Event.Lend { org; to_org; machines } ->
-      Federation.Event.Lend
-        { org = lorg org; to_org = lorg to_org; machines = lmachs machines }
-  | Federation.Event.Reclaim { org; machines } ->
-      Federation.Event.Reclaim { org = lorg org; machines = lmachs machines }
+let apply ~part online record =
+  let now () = Online.now online in
+  match record with
+  | Wal.Submit { seq; org; user; release; size; _ } ->
+      Online.submit online ~org:(Partition.local_org part org) ~user ~size
+        ~release ()
+      |> Result.map (fun index ->
+             Protocol.Submit_ok { seq; org; index; now = now () })
+  | Wal.Fault { seq; time; event; _ } ->
+      Online.fault online ~time (Partition.local_fault part event)
+      |> Result.map (fun () -> Protocol.Fault_ok { seq; now = now () })
+  | Wal.Endow { seq; time; event; _ } ->
+      Online.endow online ~time (Partition.local_endow part event)
+      |> Result.map (fun () -> Protocol.Endow_ok { seq; now = now () })
+  | Wal.Mode _ -> invalid_arg "Shard.apply: a Mode record feeds no engine"
 
-(* --- Replay (recovery and estimator switches) ----------------------------
-   Records carry global org/machine ids; feeding the group engine
-   translates them.  [Mode] records are skipped (they describe estimator
-   switches, not engine input); [dedupe], when given, is rebuilt
-   alongside — the cached acks of a deterministic replay are identical
-   to the originals. *)
+let remember dedupe record resp =
+  let cid, cseq = Wal.client_of record in
+  if cid <> 0 && cseq > 0 then Hashtbl.replace dedupe cid (cseq, resp)
+
+(* Recovery and estimator switches: feed every record to a fresh engine.
+   [Mode] records are skipped (they describe estimator switches, not
+   engine input); [dedupe], when given, is rebuilt alongside. *)
 let replay ?dedupe ~part online records =
-  let lorg o = Partition.local_org part o in
-  let levent = function
-    | Faults.Event.Fail m -> Faults.Event.Fail (Partition.local_machine part m)
-    | Faults.Event.Recover m ->
-        Faults.Event.Recover (Partition.local_machine part m)
-  in
   let rec go = function
     | [] -> Ok ()
-    | Wal.Submit { seq; org; user; release; size; cid; cseq } :: rest -> (
-        match Online.submit online ~org:(lorg org) ~user ~size ~release () with
-        | Ok index ->
-            (match dedupe with
-            | Some tbl when cid <> 0 && cseq > 0 ->
-                Hashtbl.replace tbl cid
-                  ( cseq,
-                    Protocol.Submit_ok
-                      { seq; org; index; now = Online.now online } )
-            | Some _ | None -> ());
+    | r :: rest when not (Wal.is_feed r) -> go rest
+    | r :: rest -> (
+        match apply ~part online r with
+        | Ok resp ->
+            Option.iter (fun tbl -> remember tbl r resp) dedupe;
             go rest
         | Error e ->
             Error
-              (Printf.sprintf "replay: record %d rejected: %s" seq
+              (Printf.sprintf "replay: record %d rejected: %s" (Wal.seq_of r)
                  (Online.error_to_string e)))
-    | Wal.Fault { seq; time; event; cid; cseq } :: rest -> (
-        match Online.fault online ~time (levent event) with
-        | Ok () ->
-            (match dedupe with
-            | Some tbl when cid <> 0 && cseq > 0 ->
-                Hashtbl.replace tbl cid
-                  (cseq, Protocol.Fault_ok { seq; now = Online.now online })
-            | Some _ | None -> ());
-            go rest
-        | Error e ->
-            Error
-              (Printf.sprintf "replay: record %d rejected: %s" seq
-                 (Online.error_to_string e)))
-    | Wal.Endow { seq; time; event; cid; cseq } :: rest -> (
-        match Online.endow online ~time (local_endow_event ~part event) with
-        | Ok () ->
-            (match dedupe with
-            | Some tbl when cid <> 0 && cseq > 0 ->
-                Hashtbl.replace tbl cid
-                  (cseq, Protocol.Endow_ok { seq; now = Online.now online })
-            | Some _ | None -> ());
-            go rest
-        | Error e ->
-            Error
-              (Printf.sprintf "replay: record %d rejected: %s" seq
-                 (Online.error_to_string e)))
-    | Wal.Mode _ :: rest -> go rest
   in
   go records
 
@@ -565,138 +539,45 @@ let dedupe_hit t ~cid ~cseq =
     | Some (last, _) when cseq < last && cseq > 0 -> Some (`Stale last)
     | Some _ | None -> None
 
-let remember t ~cid ~cseq resp =
-  if cid <> 0 && cseq > 0 then Hashtbl.replace t.dedupe cid (cseq, resp)
+(* Sequence and buffer one record; the next commit makes it durable. *)
+let log t record =
+  t.seq <- Wal.seq_of record;
+  Option.iter (fun w -> Wal.append w record) t.writer;
+  t.records_rev <- record :: t.records_rev;
+  t.since_snapshot <- t.since_snapshot + 1
 
-let feed_inner t ~post ~now tok (req : Protocol.request) ~t_enq =
-  match req with
-  | Protocol.Submit { org; user; release; size; cid; cseq; trace = _ } -> (
-      match dedupe_hit t ~cid ~cseq with
-      | Some (`Cached resp) -> hold t tok resp t_enq
-      | Some (`Stale last) ->
-          reject t ~post ~now ~t_enq tok Protocol.Bad_request
-            (Printf.sprintf "stale cseq %d (last applied %d)" cseq last)
-      | None -> (
-          if t.draining then
-            reject t ~post ~now ~t_enq tok Protocol.Draining
-              "daemon is draining"
-          else
-            let lorg = Partition.local_org t.part org in
-            match Online.check_submit t.online ~org:lorg ~size ~release with
-            | Error e ->
-                reject t ~post ~now ~t_enq tok (code_of_online_error e)
-                  (Online.error_to_string e)
-            | Ok () -> (
-                let seq = t.seq + 1 in
-                t.seq <- seq;
-                let record =
-                  Wal.Submit { seq; org; user; release; size; cid; cseq }
-                in
-                Option.iter (fun w -> Wal.append w record) t.writer;
-                t.records_rev <- record :: t.records_rev;
-                t.accepted <- t.accepted + 1;
-                t.since_snapshot <- t.since_snapshot + 1;
-                match
-                  Online.submit t.online ~org:lorg ~user ~size ~release ()
-                with
-                | Ok index ->
-                    let resp =
-                      Protocol.Submit_ok
-                        { seq; org; index; now = Online.now t.online }
-                    in
-                    remember t ~cid ~cseq resp;
-                    hold t tok resp t_enq
-                | Error e ->
-                    (* unreachable after check_submit; fail loudly *)
-                    observe_and_post t ~post ~now ~t_enq tok
-                      (Protocol.Error
-                         {
-                           code = Protocol.Bad_request;
-                           msg = Online.error_to_string e;
-                           retry_after_ms = None;
-                         }))))
-  | Protocol.Fault { time; event; cid; cseq; trace = _ } -> (
-      match dedupe_hit t ~cid ~cseq with
-      | Some (`Cached resp) -> hold t tok resp t_enq
-      | Some (`Stale last) ->
-          reject t ~post ~now ~t_enq tok Protocol.Bad_request
-            (Printf.sprintf "stale cseq %d (last applied %d)" cseq last)
-      | None -> (
-          if t.draining then
-            reject t ~post ~now ~t_enq tok Protocol.Draining
-              "daemon is draining"
-          else
-            let lev = local_event t event in
-            match Online.check_fault t.online ~time lev with
-            | Error e ->
-                reject t ~post ~now ~t_enq tok (code_of_online_error e)
-                  (Online.error_to_string e)
-            | Ok () -> (
-                let seq = t.seq + 1 in
-                t.seq <- seq;
-                let record = Wal.Fault { seq; time; event; cid; cseq } in
-                Option.iter (fun w -> Wal.append w record) t.writer;
-                t.records_rev <- record :: t.records_rev;
-                t.accepted <- t.accepted + 1;
-                t.since_snapshot <- t.since_snapshot + 1;
-                match Online.fault t.online ~time lev with
-                | Ok () ->
-                    let resp =
-                      Protocol.Fault_ok { seq; now = Online.now t.online }
-                    in
-                    remember t ~cid ~cseq resp;
-                    hold t tok resp t_enq
-                | Error e ->
-                    observe_and_post t ~post ~now ~t_enq tok
-                      (Protocol.Error
-                         {
-                           code = Protocol.Bad_request;
-                           msg = Online.error_to_string e;
-                           retry_after_ms = None;
-                         }))))
-  | Protocol.Endow { time; event; cid; cseq; trace = _ } -> (
-      match dedupe_hit t ~cid ~cseq with
-      | Some (`Cached resp) -> hold t tok resp t_enq
-      | Some (`Stale last) ->
-          reject t ~post ~now ~t_enq tok Protocol.Bad_request
-            (Printf.sprintf "stale cseq %d (last applied %d)" cseq last)
-      | None -> (
-          if t.draining then
-            reject t ~post ~now ~t_enq tok Protocol.Draining
-              "daemon is draining"
-          else
-            let lev = local_endow_event ~part:t.part event in
-            match Online.check_endow t.online ~time lev with
-            | Error e ->
-                reject t ~post ~now ~t_enq tok (code_of_online_error e)
-                  (Online.error_to_string e)
-            | Ok () -> (
-                let seq = t.seq + 1 in
-                t.seq <- seq;
-                let record = Wal.Endow { seq; time; event; cid; cseq } in
-                Option.iter (fun w -> Wal.append w record) t.writer;
-                t.records_rev <- record :: t.records_rev;
-                t.accepted <- t.accepted + 1;
-                t.since_snapshot <- t.since_snapshot + 1;
-                match Online.endow t.online ~time lev with
-                | Ok () ->
-                    let resp =
-                      Protocol.Endow_ok { seq; now = Online.now t.online }
-                    in
-                    remember t ~cid ~cseq resp;
-                    hold t tok resp t_enq
-                | Error e ->
-                    observe_and_post t ~post ~now ~t_enq tok
-                      (Protocol.Error
-                         {
-                           code = Protocol.Bad_request;
-                           msg = Online.error_to_string e;
-                           retry_after_ms = None;
-                         }))))
-  | Protocol.Status | Protocol.Psi | Protocol.Snapshot | Protocol.Drain _
-  | Protocol.Metrics | Protocol.Trace _ ->
-      (* control requests travel as [Query], never as [Feed] *)
-      assert false
+let feed_inner t ~post ~now tok req ~t_enq =
+  (* control requests travel as [Query], never as [Feed] *)
+  let record = Option.get (Wal.of_request ~seq:(t.seq + 1) req) in
+  let cid, cseq = Wal.client_of record in
+  match dedupe_hit t ~cid ~cseq with
+  | Some (`Cached resp) -> hold t tok resp t_enq
+  | Some (`Stale last) ->
+      reject t ~post ~now ~t_enq tok Protocol.Bad_request
+        (Printf.sprintf "stale cseq %d (last applied %d)" cseq last)
+  | None when t.draining ->
+      reject t ~post ~now ~t_enq tok Protocol.Draining "daemon is draining"
+  | None -> (
+      match check ~part:t.part t.online record with
+      | Error e ->
+          reject t ~post ~now ~t_enq tok (code_of_online_error e)
+            (Online.error_to_string e)
+      | Ok () -> (
+          log t record;
+          t.accepted <- t.accepted + 1;
+          match apply ~part:t.part t.online record with
+          | Ok resp ->
+              remember t.dedupe record resp;
+              hold t tok resp t_enq
+          | Error e ->
+              (* unreachable after check; fail loudly *)
+              observe_and_post t ~post ~now ~t_enq tok
+                (Protocol.Error
+                   {
+                     code = Protocol.Bad_request;
+                     msg = Online.error_to_string e;
+                     retry_after_ms = None;
+                   })))
 
 (* The shard-side leg of a request's trace: the feed runs inside a span
    on the worker domain carrying the client-issued trace id, so the
@@ -706,12 +587,7 @@ let feed t ~post ~now tok (req : Protocol.request) ~t_enq =
   if not (Obs.Trace.enabled ()) then feed_inner t ~post ~now tok req ~t_enq
   else begin
     let trace_id =
-      match req with
-      | Protocol.Submit { trace; _ }
-      | Protocol.Fault { trace; _ }
-      | Protocol.Endow { trace; _ } ->
-          trace
-      | _ -> 0
+      match Protocol.stamp req with Some (_, _, trace) -> trace | None -> 0
     in
     let args =
       ("group", Obs.Json.Int t.group)
@@ -781,16 +657,14 @@ let query t ~post ~now tok q =
       if not t.draining then begin
         t.draining <- true;
         Online.drain t.online;
-        (match t.state_dir with
-        | None -> List.iter post (commit t ~now ~force:true)
-        | Some _ -> (
-            match do_snapshot t with
-            | Ok _ -> List.iter post (commit t ~now ~force:true)
-            | Error msg ->
-                Obs.Log.error ~component:"shard"
-                  ~fields:[ ("group", Obs.Json.Int t.group) ]
-                  "final snapshot failed: %s" msg;
-                List.iter post (commit t ~now ~force:true)))
+        (if t.state_dir <> None then
+           match do_snapshot t with
+           | Ok _ -> ()
+           | Error msg ->
+               Obs.Log.error ~component:"shard"
+                 ~fields:[ ("group", Obs.Json.Int t.group) ]
+                 "final snapshot failed: %s" msg);
+        List.iter post (commit t ~now ~force:true)
       end;
       part (P_drain (drain_part t ~detail))
 
@@ -803,12 +677,7 @@ let query t ~post ~now tok q =
    crash at any point around the switch stays bit-identical. *)
 
 let switch_estimator t spec =
-  let seq = t.seq + 1 in
-  t.seq <- seq;
-  let record = Wal.Mode { seq; estimator = spec } in
-  Option.iter (fun w -> Wal.append w record) t.writer;
-  t.records_rev <- record :: t.records_rev;
-  t.since_snapshot <- t.since_snapshot + 1;
+  log t (Wal.Mode { seq = t.seq + 1; estimator = spec });
   let online = Online.create { t.sub with Config.algorithm = spec } in
   match replay ~part:t.part online (List.rev t.records_rev) with
   | Ok () ->
@@ -829,43 +698,30 @@ let switch_estimator t spec =
       false
 
 let maybe_switch t =
-  match t.degrade_to with
-  | None -> ()
-  | Some spec ->
-      if not t.draining then begin
-        match Overload.level t.detector with
-        | Overload.Overloaded when t.estimator <> spec ->
-            if switch_estimator t spec then begin
-              Obs.Metrics.incr m_degrade;
-              Obs.Metrics.set t.slo_budget
-                (estimator_budget ~spec
-                   ~players:(Config.organizations t.sub));
-              Obs.Log.warn ~component:"shard"
-                ~fields:
-                  [
-                    ("group", Obs.Json.Int t.group);
-                    ("event", Obs.Json.String "degrade");
-                    ("estimator", Obs.Json.String spec);
-                  ]
-                "overload: degrading estimator to %s" spec
-            end
-        | Overload.Normal when t.estimator <> t.base.Config.algorithm ->
-            if switch_estimator t t.base.Config.algorithm then begin
-              Obs.Metrics.incr m_recover;
-              Obs.Metrics.set t.slo_budget
-                (estimator_budget ~spec:t.estimator
-                   ~players:(Config.organizations t.sub));
-              Obs.Log.warn ~component:"shard"
-                ~fields:
-                  [
-                    ("group", Obs.Json.Int t.group);
-                    ("event", Obs.Json.String "recover");
-                    ("estimator", Obs.Json.String t.estimator);
-                  ]
-                "recovered: estimator back to %s" t.estimator
-            end
-        | Overload.Overloaded | Overload.Normal -> ()
-      end
+  let base = t.base.Config.algorithm in
+  let target =
+    match (t.degrade_to, Overload.level t.detector) with
+    | _ when t.draining -> None
+    | Some spec, Overload.Overloaded when t.estimator <> spec ->
+        Some (spec, m_degrade, "degrade", "overload: degrading estimator to ")
+    | Some _, Overload.Normal when t.estimator <> base ->
+        Some (base, m_recover, "recover", "recovered: estimator back to ")
+    | _ -> None
+  in
+  match target with
+  | Some (spec, counter, event, msg) when switch_estimator t spec ->
+      Obs.Metrics.incr counter;
+      Obs.Metrics.set t.slo_budget
+        (estimator_budget ~spec ~players:(Config.organizations t.sub));
+      Obs.Log.warn ~component:"shard"
+        ~fields:
+          [
+            ("group", Obs.Json.Int t.group);
+            ("event", Obs.Json.String event);
+            ("estimator", Obs.Json.String spec);
+          ]
+        "%s%s" msg spec
+  | Some _ | None -> ()
 
 (* --- Worker: one domain (or the router thread) executing >= 1 shards ----- *)
 

@@ -117,7 +117,7 @@ val create :
   unit ->
   ('tok t, string) result
 (** Recover the group's segment ([state_dir] is {e this segment's}
-    directory — the flat state dir when unsharded, [wal-<g>/] otherwise),
+    directory, [wal-<g>/] under the daemon's state dir),
     verify its stored config equals the partition's, replay into a fresh
     engine under the final estimator, rebuild the dedupe cache, compact
     on boot, and open a fresh site-prefixed WAL. *)

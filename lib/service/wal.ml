@@ -27,6 +27,23 @@ let is_feed = function
   | Submit _ | Fault _ | Endow _ -> true
   | Mode _ -> false
 
+let client_of = function
+  | Submit { cid; cseq; _ } | Fault { cid; cseq; _ } | Endow { cid; cseq; _ }
+    ->
+      (cid, cseq)
+  | Mode _ -> (0, 0)
+
+let of_request ~seq = function
+  | Protocol.Submit { org; user; release; size; cid; cseq; trace = _ } ->
+      Some (Submit { seq; org; user; release; size; cid; cseq })
+  | Protocol.Fault { time; event; cid; cseq; trace = _ } ->
+      Some (Fault { seq; time; event; cid; cseq })
+  | Protocol.Endow { time; event; cid; cseq; trace = _ } ->
+      Some (Endow { seq; time; event; cid; cseq })
+  | Protocol.Status | Protocol.Psi | Protocol.Snapshot | Protocol.Drain _
+  | Protocol.Metrics | Protocol.Trace _ ->
+      None
+
 open Obs.Json
 
 let ( let* ) = Result.bind
@@ -137,11 +154,9 @@ let snapshot_path ~dir = Filename.concat dir "snapshot.json"
 
 (* --- Segment layout (sharded state dirs) --------------------------------- *)
 
-(* A single-group daemon keeps the flat pre-sharding layout (wal.ndjson +
-   snapshot.json directly under the state dir); a multi-group daemon gives
-   each org-group its own segment subdirectory wal-<g>/ with the same two
-   files inside.  The layout itself says which world we are in — recovery
-   must know before it can read any config. *)
+(* Every org-group has its own segment subdirectory wal-<g>/ holding the
+   two files above; recovery lists the segments before it reads any
+   config. *)
 
 let segment_dir ~dir ~group = Filename.concat dir (Printf.sprintf "wal-%d" group)
 

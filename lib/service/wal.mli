@@ -11,7 +11,10 @@
     sequence number it covers, and the accepted records — not a memory
     image.
 
-    Layout under the state directory:
+    A daemon's state directory holds one segment subdirectory
+    [wal-<g>/] per org-group ([wal-0/] alone for a single group; see
+    {!segment_dir}).  The functions below read and write one segment
+    directory:
     - [wal.ndjson] — header line [{"fairsched_wal":1,"config":{...}}]
       followed by one record per line;
     - [snapshot.json] — the latest snapshot, written to a temp file and
@@ -77,17 +80,23 @@ val is_feed : record -> bool
 (** [Submit]/[Fault]/[Endow] — records that feed the engine (a [Mode]
     switch does not count toward accepted submissions). *)
 
+val client_of : record -> int * int
+(** [(cid, cseq)] of a feed record; [(0, 0)] for [Mode]. *)
+
+val of_request : seq:int -> Protocol.request -> record option
+(** The record a feed request is logged as under sequence number [seq]
+    (the trace id is not logged); [None] for control requests. *)
+
 val wal_path : dir:string -> string
 val snapshot_path : dir:string -> string
 
-(** {2 Segment layout — sharded state dirs}
+(** {2 Segment layout — state dirs}
 
-    A single-group daemon keeps the flat layout described above; a
-    multi-group daemon ([Config.groups > 1]) gives every org-group its
-    own segment subdirectory [wal-<g>/] containing the same two files.
-    Each segment header stores the {e global} config, so any one segment
-    identifies the whole partition, and recovery cross-checks that all
-    segments agree. *)
+    Every org-group, the only one of a single-group daemon included, has
+    its own segment subdirectory [wal-<g>/] containing the two files
+    above.  Each segment header stores the {e global} config, so any one
+    segment identifies the whole partition, and recovery cross-checks
+    that all segments agree. *)
 
 val segment_dir : dir:string -> group:int -> string
 (** [dir/wal-<group>]. *)
@@ -100,7 +109,7 @@ val segment_site_prefix : group:int -> string
 
 val segments : dir:string -> int list
 (** Group ids of the [wal-<g>/] segment subdirectories found under a
-    state dir, sorted; [[]] for a flat (or empty, or missing) dir. *)
+    state dir, sorted; [[]] for an empty or missing dir. *)
 
 (** {2 Typed boot errors} *)
 

@@ -7,26 +7,6 @@
 
 let ( let@ ) f x = f x
 
-let with_tmpdir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fairsched-chaos-test-%d-%d" (Unix.getpid ())
-         (Random.int 1_000_000))
-  in
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      let rec rm path =
-        if Sys.is_directory path then begin
-          Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-          Unix.rmdir path
-        end
-        else Sys.remove path
-      in
-      try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
 (* --- Plan language ----------------------------------------------------------- *)
 
 let test_spec_roundtrip () =
@@ -103,7 +83,7 @@ let test_spec_rejects () =
 (* --- Shim mechanics ---------------------------------------------------------- *)
 
 let test_fs_rules () =
-  let@ dir = with_tmpdir in
+  let@ dir = Harness.with_tmpdir in
   Fun.protect ~finally:Chaos.Fs.disarm @@ fun () ->
   let path = Filename.concat dir "scratch" in
   let fd =
@@ -252,7 +232,7 @@ let rec prefix_of xs ys =
    whose lines made it out whole — a consistent prefix, never a half
    record, never a reordering. *)
 let test_torn_multi_record () =
-  let@ dir = with_tmpdir in
+  let@ dir = Harness.with_tmpdir in
   let config = mk_config () in
   fork_chaos
     ~rules:
@@ -306,7 +286,7 @@ let test_snapshot_rename_atomicity () =
   in
   List.iter
     (fun window ->
-      let@ dir = with_tmpdir in
+      let@ dir = Harness.with_tmpdir in
       let config = mk_config () in
       (* Golden state: snapshot covering seqs 1-2, WAL holding 1-4. *)
       (match

@@ -245,21 +245,7 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
-let with_scratch_dir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fairsched-cli-wal-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun e ->
-          try Sys.remove (Filename.concat dir e) with Sys_error _ -> ())
-        (Sys.readdir dir);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ())
-    (fun () -> f dir)
+let with_scratch_dir = Harness.with_tmpdir
 
 let wal_header =
   "{\"fairsched_wal\":1,\"config\":{\"machines\":[2,2],\"horizon\":1000,\"algorithm\":\"fifo\",\"seed\":1}}\n"
@@ -305,37 +291,26 @@ let test_wal_check_segmented () =
   let seg g = Filename.concat dir (Printf.sprintf "wal-%d" g) in
   Unix.mkdir (seg 0) 0o700;
   Unix.mkdir (seg 1) 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun g ->
-          Array.iter
-            (fun e ->
-              try Sys.remove (Filename.concat (seg g) e) with Sys_error _ -> ())
-            (try Sys.readdir (seg g) with Sys_error _ -> [||]);
-          try Unix.rmdir (seg g) with Unix.Unix_error _ -> ())
-        [ 0; 1 ])
-    (fun () ->
-      write_file
-        (Filename.concat (seg 0) "wal.ndjson")
-        (grouped_wal_header ^ submit_line 1 ^ submit_line 2);
-      write_file
-        (Filename.concat (seg 1) "wal.ndjson")
-        (grouped_wal_header
-        ^ "{\"rec\":\"submit\",\"seq\":1,\"org\":1,\"user\":0,\"release\":3,\"size\":1}\n"
-        );
-      let code, lines = run_cmd ("ctl wal-check " ^ dir) in
-      let all = String.concat "\n" lines in
-      Alcotest.(check int) "intact segments exit 0" 0 code;
-      Alcotest.(check bool) "reports segment 0" true (contains all "segment 0");
-      Alcotest.(check bool) "reports segment 1" true (contains all "segment 1");
-      write_file
-        (Filename.concat (seg 1) "wal.ndjson")
-        (grouped_wal_header ^ "garbage\n" ^ submit_line 2);
-      let code, lines = run_cmd ("ctl wal-check " ^ dir) in
-      Alcotest.(check int) "one corrupt segment exits 2" 2 code;
-      Alcotest.(check bool) "names the corrupt count" true
-        (contains (String.concat "\n" lines) "1 of 2 segments corrupt"))
+  write_file
+    (Filename.concat (seg 0) "wal.ndjson")
+    (grouped_wal_header ^ submit_line 1 ^ submit_line 2);
+  write_file
+    (Filename.concat (seg 1) "wal.ndjson")
+    (grouped_wal_header
+    ^ "{\"rec\":\"submit\",\"seq\":1,\"org\":1,\"user\":0,\"release\":3,\"size\":1}\n"
+    );
+  let code, lines = run_cmd ("ctl wal-check " ^ dir) in
+  let all = String.concat "\n" lines in
+  Alcotest.(check int) "intact segments exit 0" 0 code;
+  Alcotest.(check bool) "reports segment 0" true (contains all "segment 0");
+  Alcotest.(check bool) "reports segment 1" true (contains all "segment 1");
+  write_file
+    (Filename.concat (seg 1) "wal.ndjson")
+    (grouped_wal_header ^ "garbage\n" ^ submit_line 2);
+  let code, lines = run_cmd ("ctl wal-check " ^ dir) in
+  Alcotest.(check int) "one corrupt segment exits 2" 2 code;
+  Alcotest.(check bool) "names the corrupt count" true
+    (contains (String.concat "\n" lines) "1 of 2 segments corrupt")
 
 (* `--json` is the machine-readable face of the same inspection: one JSON
    document with a per-segment status array, same exit codes (0 intact,
@@ -408,36 +383,81 @@ let test_wal_check_json_segmented () =
   let seg_dir g = Filename.concat dir (Printf.sprintf "wal-%d" g) in
   Unix.mkdir (seg_dir 0) 0o700;
   Unix.mkdir (seg_dir 1) 0o700;
+  write_file
+    (Filename.concat (seg_dir 0) "wal.ndjson")
+    (grouped_wal_header ^ submit_line 1 ^ submit_line 2);
+  write_file
+    (Filename.concat (seg_dir 1) "wal.ndjson")
+    (grouped_wal_header ^ "garbage\n" ^ submit_line 2);
+  let code, lines = run_cmd ("ctl wal-check --json " ^ dir) in
+  Alcotest.(check int) "one corrupt segment exits 2" 2 code;
+  match segments (parse_json lines) with
+  | [ s0; s1 ] ->
+      (* Each entry is tagged with its org-group. *)
+      Alcotest.(check bool) "segment 0 tagged and ok" true
+        (seg_field s0 "group" = Some (Obs.Json.Int 0)
+        && seg_field s0 "status" = Some (Obs.Json.String "ok"));
+      Alcotest.(check bool) "segment 1 tagged and corrupt" true
+        (seg_field s1 "group" = Some (Obs.Json.Int 1)
+        && seg_field s1 "status" = Some (Obs.Json.String "corrupt"))
+  | segs -> Alcotest.failf "expected 2 segments, got %d" (List.length segs)
+
+(* Every group count logs to wal-<g>/ segments — a single-group daemon
+   to wal-0/ — so one inspection path covers them all. *)
+let test_single_group_segment () =
+  with_scratch_dir @@ fun dir ->
+  let state = Filename.concat dir "state" in
+  let sock = Filename.concat dir "d.sock" in
+  let pid =
+    Harness.spawn ~exe
+      [
+        "serve"; "--listen"; "unix:" ^ sock; "--state"; state; "--orgs"; "2";
+        "--machines"; "4"; "--horizon"; "1000"; "--algorithm"; "fifo";
+      ]
+  in
   Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun g ->
-          Array.iter
-            (fun e ->
-              try Sys.remove (Filename.concat (seg_dir g) e)
-              with Sys_error _ -> ())
-            (try Sys.readdir (seg_dir g) with Sys_error _ -> [||]);
-          try Unix.rmdir (seg_dir g) with Unix.Unix_error _ -> ())
-        [ 0; 1 ])
+    ~finally:(fun () -> Harness.kill9 pid)
     (fun () ->
-      write_file
-        (Filename.concat (seg_dir 0) "wal.ndjson")
-        (grouped_wal_header ^ submit_line 1 ^ submit_line 2);
-      write_file
-        (Filename.concat (seg_dir 1) "wal.ndjson")
-        (grouped_wal_header ^ "garbage\n" ^ submit_line 2);
-      let code, lines = run_cmd ("ctl wal-check --json " ^ dir) in
-      Alcotest.(check int) "one corrupt segment exits 2" 2 code;
-      match segments (parse_json lines) with
-      | [ s0; s1 ] ->
-          (* Each entry is tagged with its org-group. *)
-          Alcotest.(check bool) "segment 0 tagged and ok" true
-            (seg_field s0 "group" = Some (Obs.Json.Int 0)
-            && seg_field s0 "status" = Some (Obs.Json.String "ok"));
-          Alcotest.(check bool) "segment 1 tagged and corrupt" true
-            (seg_field s1 "group" = Some (Obs.Json.Int 1)
-            && seg_field s1 "status" = Some (Obs.Json.String "corrupt"))
-      | segs -> Alcotest.failf "expected 2 segments, got %d" (List.length segs))
+      Service.Client.close (Harness.connect_retry (Service.Addr.Unix_sock sock));
+      let code, _ = run_cmd ("submit --org 1 --size 5 --to " ^ sock) in
+      Alcotest.(check int) "submit exits 0" 0 code;
+      let code, _ = run_cmd ("ctl drain --to " ^ sock) in
+      Alcotest.(check int) "drain exits 0" 0 code);
+  Alcotest.(check bool) "segment wal-0/ written" true
+    (Sys.file_exists (Filename.concat state "wal-0/wal.ndjson"));
+  Alcotest.(check bool) "no flat wal.ndjson" false
+    (Sys.file_exists (Filename.concat state "wal.ndjson"));
+  let code, lines = run_cmd ("ctl wal-check --json " ^ state) in
+  Alcotest.(check int) "wal-check exits 0" 0 code;
+  match segments (parse_json lines) with
+  | [ seg ] ->
+      Alcotest.(check bool) "one segment tagged group 0" true
+        (seg_field seg "group" = Some (Obs.Json.Int 0));
+      Alcotest.(check bool) "holds the acked submit" true
+        (seg_field seg "submits" = Some (Obs.Json.Int 1))
+  | segs -> Alcotest.failf "expected 1 segment, got %d" (List.length segs)
+
+(* A state dir in the flat single-group layout older builds wrote is
+   refused at boot — exit 2, naming the file and the move into wal-0/ —
+   and left byte for byte as it was: starting fresh beside it would drop
+   acked work. *)
+let test_serve_refuses_flat_layout () =
+  with_scratch_dir @@ fun dir ->
+  let wal = Filename.concat dir "wal.ndjson" in
+  let content = wal_header ^ submit_line 1 ^ submit_line 2 in
+  write_file wal content;
+  let args =
+    Printf.sprintf
+      "serve --listen unix:%s --state %s --orgs 2 --machines 4 --horizon \
+       1000 --algorithm fifo"
+      (Filename.concat dir "d.sock") dir
+  in
+  check_error args ~expect:"wal.ndjson";
+  check_error args ~expect:"wal-0/";
+  Alcotest.(check string) "flat WAL byte-identical" content
+    (In_channel.with_open_bin wal In_channel.input_all);
+  Alcotest.(check bool) "no segment created" false
+    (Sys.file_exists (Filename.concat dir "wal-0"))
 
 let test_service_unreachable_daemon () =
   (* Clients against a daemon that is not there: exit 2, one-line message. *)
@@ -492,6 +512,10 @@ let () =
           Alcotest.test_case "wal-check --json" `Quick test_wal_check_json;
           Alcotest.test_case "wal-check --json segmented" `Quick
             test_wal_check_json_segmented;
+          Alcotest.test_case "single-group segment" `Quick
+            test_single_group_segment;
+          Alcotest.test_case "flat layout refused" `Quick
+            test_serve_refuses_flat_layout;
           Alcotest.test_case "unreachable daemon" `Quick
             test_service_unreachable_daemon;
         ] );

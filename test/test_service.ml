@@ -170,25 +170,6 @@ let test_protocol_responses () =
 
 (* --- WAL -------------------------------------------------------------------- *)
 
-let with_tmpdir f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fairsched-test-%d-%d" (Unix.getpid ()) (Random.bits ()))
-  in
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      let rec rm path =
-        if Sys.is_directory path then begin
-          Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-          Unix.rmdir path
-        end
-        else Sys.remove path
-      in
-      try rm dir with Sys_error _ | Unix.Unix_error _ -> ())
-    (fun () -> f dir)
-
 let sample_records =
   [
     Service.Wal.Submit
@@ -202,7 +183,7 @@ let sample_records =
   ]
 
 let test_wal_roundtrip () =
-  let@ dir = with_tmpdir in
+  let@ dir = Harness.with_tmpdir in
   let config = mk_config () in
   let w =
     match Service.Wal.create ~dir ~config () with
@@ -229,7 +210,7 @@ let test_wal_roundtrip () =
       Alcotest.(check int) "last seq" 4 r.Service.Wal.r_last_seq
 
 let test_wal_torn_tail () =
-  let@ dir = with_tmpdir in
+  let@ dir = Harness.with_tmpdir in
   let config = mk_config () in
   let w =
     match Service.Wal.create ~dir ~config () with
@@ -264,7 +245,7 @@ let test_wal_torn_tail () =
   | Error _ -> ()
 
 let test_wal_snapshot_dedupe () =
-  let@ dir = with_tmpdir in
+  let@ dir = Harness.with_tmpdir in
   let config = mk_config () in
   (* Snapshot covering seqs 1-2; WAL holding 1-4 (as after a crash between
      snapshot rename and WAL truncation): recovery must not replay 1-2
@@ -297,7 +278,7 @@ let test_wal_snapshot_dedupe () =
    pending and the file repairable: the retried sync lands every record
    exactly once, with no interleaved half-records. *)
 let test_wal_sync_repair () =
-  let@ dir = with_tmpdir in
+  let@ dir = Harness.with_tmpdir in
   let config = mk_config () in
   Fun.protect ~finally:Chaos.Fs.disarm @@ fun () ->
   let w =
@@ -691,49 +672,10 @@ let with_server ?state_dir ?(queue_cap = 1024) ?(drain_batch = 256) ?shards
           try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
         (fun () -> f pid)
 
-let connect_retry addr =
-  let rec go n =
-    match Service.Client.connect addr with
-    | Ok c -> c
-    | Error e ->
-        if n = 0 then
-          Alcotest.failf "connect: %s" (Service.Client.error_to_string e)
-        else begin
-          Unix.sleepf 0.05;
-          go (n - 1)
-        end
-  in
-  go 100
-
-let request_ok client req =
-  match Service.Client.request client req with
-  | Ok resp -> resp
-  | Error e ->
-      Alcotest.failf "request: %s" (Service.Client.error_to_string e)
-
-let submit_job client (j : Core.Job.t) =
-  match
-    request_ok client
-      (Service.Protocol.Submit
-         {
-           org = j.Core.Job.org;
-           user = j.Core.Job.user;
-           release = j.Core.Job.release;
-           size = j.Core.Job.size;
-           cid = 0;
-           cseq = 0;
-           trace = 0;
-         })
-  with
-  | Service.Protocol.Submit_ok { index; _ } ->
-      Alcotest.(check int) "served rank = batch rank" j.Core.Job.index index
-  | Service.Protocol.Error { msg; _ } -> Alcotest.failf "submit: %s" msg
-  | _ -> Alcotest.fail "submit: unexpected response"
-
 (* Satellite (c): the golden instance fed through the socket one submission
    at a time must match Sim.Driver.run bit for bit. *)
 let test_served_equivalence () =
-  let@ dir = with_tmpdir in
+  let@ dir = Harness.with_tmpdir in
   let algorithm = "fairshare" and seed = 5 in
   let instance = Workload.Scenario.instance spec ~seed:21 in
   let batch = batch_result ~algorithm ~seed instance in
@@ -748,9 +690,9 @@ let test_served_equivalence () =
   in
   let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
   let@ _pid = with_server ~service addr in
-  let client = connect_retry addr in
-  Array.iter (submit_job client) instance.Core.Instance.jobs;
-  (match request_ok client (Service.Protocol.Drain { detail = true }) with
+  let client = Harness.connect_retry addr in
+  Array.iter (Harness.submit_job client) instance.Core.Instance.jobs;
+  (match Harness.request client (Service.Protocol.Drain { detail = true }) with
   | Service.Protocol.Drain_ok r ->
       Alcotest.(check (array int)) "psi identical"
         batch.Sim.Driver.utilities_scaled r.Service.Protocol.d_psi_scaled;
@@ -778,7 +720,7 @@ let test_served_equivalence () =
    bit-identical to the uninterrupted batch run.  Only acked submissions
    count: the WAL is fsynced before every ack. *)
 let test_crash_recovery () =
-  let@ dir = with_tmpdir in
+  let@ dir = Harness.with_tmpdir in
   let state_dir = Filename.concat dir "state" in
   let algorithm = "fairshare" and seed = 5 in
   let instance = Workload.Scenario.instance spec ~seed:22 in
@@ -799,22 +741,28 @@ let test_crash_recovery () =
   (* First life: submit the first half, then SIGKILL — no drain, no
      graceful anything. *)
   (let@ pid = with_server ~state_dir ~service addr in
-   let client = connect_retry addr in
-   Array.iteri (fun i j -> if i < split then submit_job client j) jobs;
+   let client = Harness.connect_retry addr in
+   Array.iteri (fun i j -> if i < split then Harness.submit_job client j) jobs;
    Unix.kill pid Sys.sigkill;
    ignore (Unix.waitpid [] pid);
    Service.Client.close client);
+  (* A single-group daemon logs to segment wal-0/, like any group count. *)
+  Alcotest.(check bool) "WAL in segment wal-0/" true
+    (Sys.file_exists
+       (Service.Wal.wal_path ~dir:(Service.Wal.segment_dir ~dir:state_dir ~group:0)));
+  Alcotest.(check bool) "no flat WAL" false
+    (Sys.file_exists (Service.Wal.wal_path ~dir:state_dir));
   (* Second life: recovery replays the WAL; the daemon resumes exactly
      where the acked stream left off. *)
   let@ _pid = with_server ~state_dir ~service addr in
-  let client = connect_retry addr in
-  (match request_ok client Service.Protocol.Status with
+  let client = Harness.connect_retry addr in
+  (match Harness.request client Service.Protocol.Status with
   | Service.Protocol.Status_ok st ->
       Alcotest.(check int) "all acked submissions recovered" split
         st.Service.Protocol.accepted
   | _ -> Alcotest.fail "status: unexpected response");
-  Array.iteri (fun i j -> if i >= split then submit_job client j) jobs;
-  (match request_ok client (Service.Protocol.Drain { detail = false }) with
+  Array.iteri (fun i j -> if i >= split then Harness.submit_job client j) jobs;
+  (match Harness.request client (Service.Protocol.Drain { detail = false }) with
   | Service.Protocol.Drain_ok r ->
       Alcotest.(check (array int)) "psi identical after crash"
         batch.Sim.Driver.utilities_scaled r.Service.Protocol.d_psi_scaled;
@@ -825,14 +773,14 @@ let test_crash_recovery () =
   Service.Client.close client
 
 let test_backpressure () =
-  let@ dir = with_tmpdir in
+  let@ dir = Harness.with_tmpdir in
   let service = mk_config ~machines:[| 2; 2 |] ~horizon:100_000 () in
   let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
   let@ _pid = with_server ~queue_cap:2 ~drain_batch:1 ~service addr in
   (* Blast a pipelined burst without reading: the bounded admission queue
      must reject some with a typed backpressure error, never drop or
      crash. *)
-  let client = connect_retry addr in
+  let client = Harness.connect_retry addr in
   let n = 64 in
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Service.Addr.to_sockaddr addr);
@@ -886,7 +834,7 @@ let test_backpressure () =
   Alcotest.(check bool) "some accepted" true (ok > 0);
   Alcotest.(check bool) "some backpressured" true (backpressure > 0);
   (* The daemon is still healthy afterwards. *)
-  (match request_ok client Service.Protocol.Status with
+  (match Harness.request client Service.Protocol.Status with
   | Service.Protocol.Status_ok st ->
       Alcotest.(check int) "accepted = acked" ok st.Service.Protocol.accepted
   | _ -> Alcotest.fail "status after burst");
@@ -897,17 +845,17 @@ let test_backpressure () =
    counted once — and the table must survive a kill -9 (it is rebuilt
    from the WAL). *)
 let test_dedupe () =
-  let@ dir = with_tmpdir in
+  let@ dir = Harness.with_tmpdir in
   let state_dir = Filename.concat dir "state" in
   let service = mk_config ~machines:[| 2; 2 |] ~horizon:100_000 () in
   let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
   let submit client ~release ~cseq =
-    request_ok client
+    Harness.request client
       (Service.Protocol.Submit
          { org = 0; user = 0; release; size = 1; cid = 7; cseq; trace = 0 })
   in
   (let@ pid = with_server ~state_dir ~service addr in
-   let client = connect_retry addr in
+   let client = Harness.connect_retry addr in
    let first = submit client ~release:1 ~cseq:1 in
    (match first with
    | Service.Protocol.Submit_ok { index = 0; _ } -> ()
@@ -915,7 +863,7 @@ let test_dedupe () =
    Alcotest.(check bool)
      "retransmission answered from the cache" true
      (submit client ~release:1 ~cseq:1 = first);
-   (match request_ok client Service.Protocol.Status with
+   (match Harness.request client Service.Protocol.Status with
    | Service.Protocol.Status_ok st ->
        Alcotest.(check int) "applied once" 1 st.Service.Protocol.accepted
    | _ -> Alcotest.fail "status");
@@ -930,11 +878,11 @@ let test_dedupe () =
    Unix.kill pid Sys.sigkill;
    ignore (Unix.waitpid [] pid));
   let@ _pid = with_server ~state_dir ~service addr in
-  let client = connect_retry addr in
+  let client = Harness.connect_retry addr in
   (match submit client ~release:2 ~cseq:2 with
   | Service.Protocol.Submit_ok { index = 1; _ } -> ()
   | _ -> Alcotest.fail "post-crash retransmission not deduped");
-  (match request_ok client Service.Protocol.Status with
+  (match Harness.request client Service.Protocol.Status with
   | Service.Protocol.Status_ok st ->
       Alcotest.(check int)
         "still applied once each" 2 st.Service.Protocol.accepted
@@ -944,11 +892,11 @@ let test_dedupe () =
 (* Resilient stamps feeds once, before the first attempt, so any manual
    re-send of the same stamp is deduped server-side. *)
 let test_resilient_stamping () =
-  let@ dir = with_tmpdir in
+  let@ dir = Harness.with_tmpdir in
   let service = mk_config ~machines:[| 2; 2 |] ~horizon:100_000 () in
   let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
   let@ _pid = with_server ~service addr in
-  Service.Client.close (connect_retry addr);
+  Service.Client.close (Harness.connect_retry addr);
   let conn =
     Service.Client.Resilient.create ~cid:42
       ~rng:(Fstats.Rng.create ~seed:3)
@@ -967,15 +915,15 @@ let test_resilient_stamping () =
   in
   Alcotest.(check int) "first" 0 (submit 1);
   Alcotest.(check int) "second" 1 (submit 2);
-  let client = connect_retry addr in
+  let client = Harness.connect_retry addr in
   (match
-     request_ok client
+     Harness.request client
        (Service.Protocol.Submit
           { org = 0; user = 0; release = 2; size = 1; cid = 42; cseq = 2; trace = 0 })
    with
   | Service.Protocol.Submit_ok { index = 1; _ } -> ()
   | _ -> Alcotest.fail "re-send of the resilient stamp not deduped");
-  (match request_ok client Service.Protocol.Status with
+  (match Harness.request client Service.Protocol.Status with
   | Service.Protocol.Status_ok st ->
       Alcotest.(check int) "applied once each" 2 st.Service.Protocol.accepted
   | _ -> Alcotest.fail "status");
@@ -989,7 +937,7 @@ let test_resilient_stamping () =
 (* Deadlines: a mute server turns into a typed Timeout, an absent one
    into Refused — never an indefinite block. *)
 let test_client_timeout () =
-  let@ dir = with_tmpdir in
+  let@ dir = Harness.with_tmpdir in
   let path = Filename.concat dir "mute.sock" in
   let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind srv (Unix.ADDR_UNIX path);
@@ -1018,11 +966,11 @@ let test_client_timeout () =
         (Service.Client.error_to_string e)
 
 let test_malformed_lines () =
-  let@ dir = with_tmpdir in
+  let@ dir = Harness.with_tmpdir in
   let service = mk_config () in
   let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
   let@ _pid = with_server ~service addr in
-  let client = connect_retry addr in
+  let client = Harness.connect_retry addr in
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Service.Addr.to_sockaddr addr);
   let payload = "}{ garbage \n{\"op\":\"warp\"}\n{\"op\":\"status\"}\n" in
@@ -1051,13 +999,13 @@ let test_malformed_lines () =
       ()
   | _ -> Alcotest.fail "expected parse, parse, status responses");
   (* And the daemon survives to serve the well-behaved client. *)
-  (match request_ok client Service.Protocol.Psi with
+  (match Harness.request client Service.Protocol.Psi with
   | Service.Protocol.Psi_ok _ -> ()
   | _ -> Alcotest.fail "psi after garbage");
   Service.Client.close client
 
 let test_loadgen () =
-  let@ dir = with_tmpdir in
+  let@ dir = Harness.with_tmpdir in
   let lspec =
     Workload.Scenario.default ~norgs:3 ~machines:8 ~horizon:100_000 ~users:12
       Workload.Traces.lpc_egee
@@ -1075,7 +1023,7 @@ let test_loadgen () =
   let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
   let@ _pid = with_server ~service addr in
   (* Wait for readiness through a throwaway connection. *)
-  Service.Client.close (connect_retry addr);
+  Service.Client.close (Harness.connect_retry addr);
   let report =
     match
       Service.Loadgen.run
@@ -1238,13 +1186,13 @@ let sharded_differential_qcheck =
       in
       List.iter
         (fun shards ->
-          let@ dir = with_tmpdir in
+          let@ dir = Harness.with_tmpdir in
           let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
           let@ _pid = with_server ~shards ~service:config addr in
-          let client = connect_retry addr in
-          Array.iter (submit_job client) instance.Core.Instance.jobs;
+          let client = Harness.connect_retry addr in
+          Array.iter (Harness.submit_job client) instance.Core.Instance.jobs;
           (match
-             request_ok client (Service.Protocol.Drain { detail = false })
+             Harness.request client (Service.Protocol.Drain { detail = false })
            with
           | Service.Protocol.Drain_ok r ->
               if r.Service.Protocol.d_psi_scaled <> golden_psi then
@@ -1264,7 +1212,7 @@ let sharded_differential_qcheck =
    acks, and — the durability contract — everything acked before a
    kill -9 is recovered from the per-group segments. *)
 let test_group_commit_recovery () =
-  let@ dir = with_tmpdir in
+  let@ dir = Harness.with_tmpdir in
   let state_dir = Filename.concat dir "state" in
   let service =
     mk_config ~groups:2 ~machines:[| 2; 2 |] ~horizon:100_000 ()
@@ -1313,8 +1261,8 @@ let test_group_commit_recovery () =
           match Service.Protocol.response_of_line line with
           | Ok (Service.Protocol.Submit_ok _) -> ()
           | _ -> Alcotest.failf "burst response not an ack: %s" line);
-   let client = connect_retry addr in
-   (match request_ok client Service.Protocol.Status with
+   let client = Harness.connect_retry addr in
+   (match Harness.request client Service.Protocol.Status with
    | Service.Protocol.Status_ok st ->
        Alcotest.(check int) "groups" 2 st.Service.Protocol.groups;
        Alcotest.(check int) "shards" 2 st.Service.Protocol.shards;
@@ -1335,13 +1283,13 @@ let test_group_commit_recovery () =
   let@ _pid =
     with_server ~state_dir ~shards:2 ~commit_interval:0.05 ~service addr
   in
-  let client = connect_retry addr in
-  (match request_ok client Service.Protocol.Status with
+  let client = Harness.connect_retry addr in
+  (match Harness.request client Service.Protocol.Status with
   | Service.Protocol.Status_ok st ->
       Alcotest.(check int) "acked burst recovered" n
         st.Service.Protocol.accepted
   | _ -> Alcotest.fail "status: unexpected response");
-  (match request_ok client (Service.Protocol.Drain { detail = false }) with
+  (match Harness.request client (Service.Protocol.Drain { detail = false }) with
   | Service.Protocol.Drain_ok _ -> ()
   | _ -> Alcotest.fail "drain: unexpected response");
   Service.Client.close client
@@ -1352,21 +1300,21 @@ let test_group_commit_recovery () =
    org-group, not the daemon.  (:2+ skips the segment's header fsync at
    boot.) *)
 let test_shard_chaos_isolation () =
-  let@ dir = with_tmpdir in
+  let@ dir = Harness.with_tmpdir in
   let state_dir = Filename.concat dir "state" in
   let service =
     mk_config ~groups:2 ~machines:[| 2; 2 |] ~horizon:100_000 ()
   in
   let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
   let submit client ~org ~release =
-    request_ok client
+    Harness.request client
       (Service.Protocol.Submit
          { org; user = 0; release; size = 1; cid = 0; cseq = 0; trace = 0 })
   in
   let@ _pid =
     with_server ~state_dir ~chaos:"eio@g1/wal-fsync:2+" ~service addr
   in
-  let client = connect_retry addr in
+  let client = Harness.connect_retry addr in
   (match submit client ~org:0 ~release:1 with
   | Service.Protocol.Submit_ok _ -> ()
   | _ -> Alcotest.fail "healthy group rejected a submission");
@@ -1379,7 +1327,7 @@ let test_shard_chaos_isolation () =
   (match submit client ~org:0 ~release:2 with
   | Service.Protocol.Submit_ok _ -> ()
   | _ -> Alcotest.fail "healthy group stopped acking");
-  (match request_ok client Service.Protocol.Status with
+  (match Harness.request client Service.Protocol.Status with
   | Service.Protocol.Status_ok st ->
       (* The wal-errored feed stays admitted (its record is pending until
          a later sync repairs it) — same books as the pre-sharding server
