@@ -84,6 +84,7 @@ let history_record ~mode =
       ("date", Obs.Json.String date);
       ("sha", Obs.Json.String sha);
       ("mode", Obs.Json.String mode);
+      ("cores", Obs.Json.Int (Domain.recommended_domain_count ()));
       ( "sections",
         Obs.Json.Obj
           (List.rev_map (fun (n, s) -> (n, Obs.Json.Float s)) !wall_acc) );
@@ -505,6 +506,7 @@ let approx ?(strict = false) ~audit_ks ~scaling_ks ~horizon () =
       Format.printf "  !! k=%d blew the %.0fs budget: %.1fs@." r.s_k budget_s
         (r.rand_ms /. 1000.))
     over_budget;
+  let cores = Obs.Json.Int (Domain.recommended_domain_count ()) in
   record_json "approx"
     (Obs.Json.Obj
        [
@@ -523,6 +525,7 @@ let approx ?(strict = false) ~audit_ks ~scaling_ks ~horizon () =
                       ("max_abs_err", Obs.Json.Float r.max_abs_err);
                       ("tolerance", Obs.Json.Float r.tolerance);
                       ("within_bound", Obs.Json.Bool r.within_bound);
+                      ("cores", cores);
                     ])
                 audit_rows) );
          ( "scaling",
@@ -544,6 +547,7 @@ let approx ?(strict = false) ~audit_ks ~scaling_ks ~horizon () =
                       ( "exact_feasible",
                         Obs.Json.Bool (r.exact_ms_opt <> None) );
                       ("budget_seconds", Obs.Json.Float budget_s);
+                      ("cores", cores);
                     ])
                 scaling_rows) );
        ]);

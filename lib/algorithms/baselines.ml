@@ -1,37 +1,12 @@
 (* Shared scheduling vocabulary (Job, Schedule, Cluster). *)
 open Core
 
-let fifo_front_release cluster u =
-  match Cluster.front cluster u with
-  | Some j -> j.Job.release
-  | None -> max_int
-
-let fifo_select cluster =
-  match Cluster.waiting_orgs cluster with
-  | [] -> invalid_arg "fifo: nothing waiting"
-  | orgs ->
-      List.fold_left
-        (fun best u ->
-          if fifo_front_release cluster u < fifo_front_release cluster best
-          then u
-          else best)
-        (List.hd orgs) (List.tl orgs)
-
 let fifo _instance ~rng:_ =
   Policy.make ~name:"fifo"
-    ~select:(fun view ~time:_ -> fifo_select view.Policy.cluster)
+    ~select:(fun view ~time:_ -> Cluster.fifo_org view.Policy.cluster)
     ()
 
-let fifo_select_sim sim ~time:_ =
-  match Coalition_sim.waiting_orgs sim with
-  | [] -> invalid_arg "fifo_select_sim: nothing waiting"
-  | orgs ->
-      let release u =
-        Option.value (Coalition_sim.front_release sim ~org:u) ~default:max_int
-      in
-      List.fold_left
-        (fun best u -> if release u < release best then u else best)
-        (List.hd orgs) (List.tl orgs)
+let fifo_select_sim sim ~time:_ = Coalition_sim.fifo_org sim
 
 let random_greedy _instance ~rng =
   let rng = Fstats.Rng.split rng in

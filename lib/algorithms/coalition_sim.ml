@@ -4,7 +4,17 @@ open Core
 type t = {
   members : Shapley.Coalition.t;
   cluster : Cluster.t;
-  trackers : Utility.Tracker.t array;  (* indexed by global org id *)
+  trackers : Utility.Tracker.t array;
+      (* indexed by global org id; non-members share one inert tracker that
+         is never written (only members' jobs enter the sim) *)
+  (* The coalition value 2·v(C, t) = a·t² + b·t + c between state changes:
+     the sum of the members' tracker polynomials, updated on every path
+     that changes a member's tracker, with [epoch] counting those
+     changes (DESIGN.md §13). *)
+  mutable poly_a : int;
+  mutable poly_b : int;
+  mutable poly_c : int;
+  mutable epoch : int;
   local_of_global : int array;  (* global machine id -> local id, or -1 *)
   (* Federated mode: the sim hosts the full global machine universe under
      identity ids and replays the endowment stream against its own
@@ -21,6 +31,40 @@ type t = {
   mutable current_select : t -> time:int -> int;
 }
 
+(* Every tracker change goes through [unfold] / [refold]: the member's
+   polynomial leaves the aggregate before the change and re-enters after,
+   so the aggregate stays the members' sum in O(1). *)
+let unfold t tr =
+  t.poly_a <- t.poly_a - Utility.Tracker.coeff_a tr;
+  t.poly_b <- t.poly_b - Utility.Tracker.coeff_b tr;
+  t.poly_c <- t.poly_c - Utility.Tracker.coeff_c tr
+
+let refold t tr =
+  t.poly_a <- t.poly_a + Utility.Tracker.coeff_a tr;
+  t.poly_b <- t.poly_b + Utility.Tracker.coeff_b tr;
+  t.poly_c <- t.poly_c + Utility.Tracker.coeff_c tr;
+  t.epoch <- t.epoch + 1
+
+let track_start t ~org ~key ~start =
+  let tr = t.trackers.(org) in
+  unfold t tr;
+  Utility.Tracker.on_start tr ~key ~start;
+  refold t tr
+
+let track_complete (t : t) (c : Cluster.completion) =
+  let tr = t.trackers.(c.Cluster.job.Job.org) in
+  unfold t tr;
+  Utility.Tracker.on_complete tr ~key:c.Cluster.job.Job.index
+    ~size:(c.Cluster.finish - c.Cluster.start);
+  refold t tr
+
+(* A killed piece vanishes from ψsp (Theorem 4.1). *)
+let track_kill t (k : Cluster.kill) =
+  let tr = t.trackers.(k.Cluster.k_job.Job.org) in
+  unfold t tr;
+  Utility.Tracker.on_abort tr ~key:k.Cluster.k_job.Job.index;
+  refold t tr
+
 (* Retire one machine from a federated sim's cluster, retracting the killed
    piece from ψsp like a fault does (Theorem 4.1), and fold the kill into
    the endowment outcome. *)
@@ -28,9 +72,7 @@ let sim_retire t ~time (acc : Kernel.Engine.endow_outcome) m =
   match Cluster.retire_machine t.cluster ~time m with
   | None -> acc
   | Some k ->
-      Utility.Tracker.on_abort
-        t.trackers.(k.Cluster.k_job.Job.org)
-        ~key:k.Cluster.k_job.Job.index;
+      track_kill t k;
       {
         Kernel.Engine.e_kills = acc.Kernel.Engine.e_kills + 1;
         e_wasted = acc.Kernel.Engine.e_wasted + k.Cluster.k_wasted;
@@ -153,7 +195,15 @@ let create ?max_restarts ?(federated = false) ~instance ~members () =
     {
       members;
       cluster = Cluster.create ?speeds ?max_restarts ~machine_owners ~norgs ();
-      trackers = Array.init norgs (fun _ -> Utility.Tracker.create ());
+      trackers =
+        (let inert = Utility.Tracker.create () in
+         Array.init norgs (fun u ->
+             if Shapley.Coalition.mem members u then Utility.Tracker.create ()
+             else inert));
+      poly_a = 0;
+      poly_b = 0;
+      poly_c = 0;
+      epoch = 0;
       local_of_global;
       ownership =
         (if federated then
@@ -174,10 +224,7 @@ let create ?max_restarts ?(federated = false) ~instance ~members () =
             (fun ~time ->
               match Cluster.pop_completion_le t.cluster time with
               | Some c ->
-                  Utility.Tracker.on_complete
-                    t.trackers.(c.Cluster.job.Job.org)
-                    ~key:c.Cluster.job.Job.index
-                    ~size:(c.Cluster.finish - c.Cluster.start);
+                  track_complete t c;
                   true
               | None -> false);
           apply_fault =
@@ -186,10 +233,7 @@ let create ?max_restarts ?(federated = false) ~instance ~members () =
               | Faults.Event.Fail m -> (
                   match Cluster.fail_machine t.cluster ~time m with
                   | Some k ->
-                      (* The killed piece vanishes from ψsp (Theorem 4.1). *)
-                      Utility.Tracker.on_abort
-                        t.trackers.(k.Cluster.k_job.Job.org)
-                        ~key:k.Cluster.k_job.Job.index;
+                      track_kill t k;
                       Kernel.Engine.Killed
                         {
                           wasted = k.Cluster.k_wasted;
@@ -214,8 +258,8 @@ let create ?max_restarts ?(federated = false) ~instance ~members () =
               do
                 let org = t.current_select t ~time in
                 let placement = Cluster.start_front t.cluster ~org ~time () in
-                Utility.Tracker.on_start t.trackers.(org)
-                  ~key:placement.Schedule.job.Job.index ~start:time;
+                track_start t ~org ~key:placement.Schedule.job.Job.index
+                  ~start:time;
                 Instant.bump t.pending ~time ~org;
                 incr n
               done;
@@ -284,30 +328,15 @@ let value_scaled t ~at =
     (fun u acc -> acc + Utility.Tracker.value_scaled t.trackers.(u) ~at)
     t.members 0
 
-(* Closed-form coalition value: 2·v(C, t) = a·t² + b·t + c between state
-   changes (sum of the members' tracker polynomials — exact integers, so
-   evaluating it is bit-identical to [value_scaled]).  [epoch] is the sum of
-   the members' monotone tracker epochs: unchanged epoch ⇒ unchanged
-   coefficients, which is what lets REF/RAND cache coalition values across
-   instants (DESIGN.md §13). *)
-let value_coeffs t =
-  Shapley.Coalition.fold
-    (fun u (a, b, c) ->
-      let ua, ub, uc = Utility.Tracker.coeffs_scaled t.trackers.(u) in
-      (a + ua, b + ub, c + uc))
-    t.members (0, 0, 0)
-
-let epoch t =
-  Shapley.Coalition.fold
-    (fun u acc -> acc + Utility.Tracker.epoch t.trackers.(u))
-    t.members 0
+let coeff_a t = t.poly_a
+let coeff_b t = t.poly_b
+let coeff_c t = t.poly_c
+let epoch t = t.epoch
 
 let utility_scaled t ~org ~at = Utility.Tracker.value_scaled t.trackers.(org) ~at
 let pending t = t.pending
 let waiting_orgs t = Cluster.waiting_orgs t.cluster
-
-let front_release t ~org =
-  Option.map (fun (j : Job.t) -> j.Job.release) (Cluster.front t.cluster org)
+let fifo_org t = Cluster.fifo_org t.cluster
 let has_waiting t = Cluster.has_waiting t.cluster
 let free_count t = Cluster.free_count t.cluster
 

@@ -109,25 +109,31 @@ val value_scaled : t -> at:int -> int
 val utility_scaled : t -> org:int -> at:int -> int
 (** [2·ψsp(org)] within this coalition's schedule. *)
 
-val value_coeffs : t -> int * int * int
-(** [(a, b, c)] with [value_scaled ~at = a·at² + b·at + c] for every [at]
-    at or after this simulator's latest event — the coalition value between
-    state changes is an exact integer polynomial in time.  Valid until
+val coeff_a : t -> int
+val coeff_b : t -> int
+val coeff_c : t -> int
+(** [a], [b], [c] with [value_scaled ~at = a·at² + b·at + c] for every
+    [at] at or after this simulator's latest event — the coalition value
+    between state changes is an exact integer polynomial in time.  The
+    simulator keeps this aggregate up to date on every start, completion
+    and kill, so reading it is O(1) and allocates nothing.  Valid until
     {!epoch} changes. *)
 
 val epoch : t -> int
 (** Monotone counter of tracker state changes (starts, completions, kills)
-    inside this simulator.  An unchanged epoch guarantees {!value_coeffs}
-    is still valid: the basis of the cross-instant coalition-value cache
-    (DESIGN.md §13). *)
+    inside this simulator, kept as one per-simulator field.  An unchanged
+    epoch guarantees the coefficients are still valid: the basis of the
+    cross-instant coalition-value cache (DESIGN.md §13). *)
 
 val pending : t -> Instant.t
 (** Started-this-instant counters (the selection convention). *)
 
 val waiting_orgs : t -> int list
 
-(** Release time of the organization's waiting front job, if any. *)
-val front_release : t -> org:int -> int option
+val fifo_org : t -> int
+(** {!Core.Cluster.fifo_org} of this simulator's cluster: the waiting member
+    with the earliest front release (ties: lowest id), allocation-free. *)
+
 val has_waiting : t -> bool
 val free_count : t -> int
 val completed_parts : t -> at:int -> int

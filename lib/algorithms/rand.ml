@@ -4,8 +4,8 @@ module Coalition = Shapley.Coalition
 
 (* Same cross-instant coalition-value cache as REF (DESIGN.md §13): between
    two events of a sim its value 2·v(t) is an exact integer polynomial, so a
-   query at a new instant only re-folds the member trackers when the sim's
-   epoch moved — otherwise it evaluates the cached coefficients,
+   query at a new instant only re-reads the sim's coefficients (O(1)) when
+   the sim's epoch moved — otherwise it evaluates the cached ones,
    bit-identically. *)
 type cached_sim = {
   sim : Coalition_sim.t;
@@ -27,10 +27,9 @@ let cached_v2 cs ~time =
   if cs.c_epoch = e then Obs.Metrics.incr m_vcache_hits
   else begin
     Obs.Metrics.incr m_vcache_misses;
-    let a, b, c = Coalition_sim.value_coeffs cs.sim in
-    cs.c_a <- a;
-    cs.c_b <- b;
-    cs.c_c <- c;
+    cs.c_a <- Coalition_sim.coeff_a cs.sim;
+    cs.c_b <- Coalition_sim.coeff_b cs.sim;
+    cs.c_c <- Coalition_sim.coeff_c cs.sim;
     cs.c_epoch <- e
   end;
   ((cs.c_a * time) + cs.c_b) * time + cs.c_c

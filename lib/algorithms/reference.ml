@@ -216,10 +216,11 @@ let create_internals ?(concept = Shapley_value) ?workers ?max_restarts
   }
 
 (* Cross-instant coalition-value cache: between two events of a sim its
-   2·v(t) is an exact integer polynomial a·t² + b·t + c (Tracker.coeffs);
-   re-extracting the coefficients is only needed when the sim's epoch moved.
-   Hit = polynomial evaluation, miss = one fold over the members' trackers —
-   either way bit-identical to Coalition_sim.value_scaled. *)
+   2·v(t) is an exact integer polynomial a·t² + b·t + c (Coalition_sim's
+   coefficients); re-reading them is only needed when the sim's epoch moved.
+   Hit = polynomial evaluation, miss = three field reads (O(1)) — either way
+   bit-identical to Coalition_sim.value_scaled, the direct tracker fold the
+   cache-off path runs. *)
 let m_vcache_hits = Obs.Metrics.counter "ref.vcache_hits"
 let m_vcache_misses = Obs.Metrics.counter "ref.vcache_misses"
 
@@ -230,10 +231,9 @@ let compute_v2 st sim ~mask ~time =
     if st.vc_epoch.(mask) = e then Obs.Metrics.incr m_vcache_hits
     else begin
       Obs.Metrics.incr m_vcache_misses;
-      let a, b, c = Coalition_sim.value_coeffs sim in
-      st.vc_a.(mask) <- a;
-      st.vc_b.(mask) <- b;
-      st.vc_c.(mask) <- c;
+      st.vc_a.(mask) <- Coalition_sim.coeff_a sim;
+      st.vc_b.(mask) <- Coalition_sim.coeff_b sim;
+      st.vc_c.(mask) <- Coalition_sim.coeff_c sim;
       st.vc_epoch.(mask) <- e
     end;
     ((st.vc_a.(mask) * time) + st.vc_b.(mask)) * time + st.vc_c.(mask)

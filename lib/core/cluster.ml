@@ -170,6 +170,29 @@ let waiting_orgs t =
   in
   go (t.norgs - 1) []
 
+(* Single allocation-free scan: earliest front release wins, the lowest org
+   on ties (strict [<] over ascending orgs).  Releases are non-negative
+   (Job.make), so -1 marks an org with nothing waiting. *)
+let fifo_org t =
+  let best = ref (-1) and best_release = ref max_int in
+  for u = 0 to t.norgs - 1 do
+    let release =
+      if not t.active.(u) then -1
+      else
+        match t.resubmitted.(u) with
+        | j :: _ -> j.Job.release
+        | [] ->
+            let q = t.queues.(u) in
+            if Queue.is_empty q then -1 else (Queue.peek q).Job.release
+    in
+    if release >= 0 && release < !best_release then begin
+      best := u;
+      best_release := release
+    end
+  done;
+  if !best < 0 then invalid_arg "Cluster.fifo_org: nothing waiting";
+  !best
+
 let waiting_count t u =
   Queue.length t.queues.(u) + List.length t.resubmitted.(u)
 

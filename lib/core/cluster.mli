@@ -78,6 +78,11 @@ val has_waiting : t -> bool
 val waiting_orgs : t -> int list
 (** Organizations with a non-empty queue, ascending. *)
 
+val fifo_org : t -> int
+(** The waiting organization whose front job was released earliest (ties:
+    lowest organization id) — the FIFO rule, in one allocation-free scan.
+    @raise Invalid_argument if nothing waits. *)
+
 val waiting_count : t -> int -> int
 (** Queue length of one organization. *)
 

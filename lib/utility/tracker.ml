@@ -2,45 +2,50 @@ type t = {
   mutable slope : int;  (* Σ size over completed pieces *)
   mutable const : int;  (* −Σ size·(2·start + size − 1) over completed *)
   active : (int, int) Hashtbl.t;  (* key -> start *)
-  mutable epoch : int;  (* bumped on every state change *)
+  (* The running pieces' share of the value polynomial, kept up to date by
+     every state change: each running piece started at [s] contributes
+     (at−s)(at−s+1) = at² + at·(1−2s) + s(s−1). *)
+  mutable run_b : int;  (* Σ (1 − 2s) over running pieces *)
+  mutable run_c : int;  (* Σ s(s − 1) over running pieces *)
 }
 
-let create () = { slope = 0; const = 0; active = Hashtbl.create 8; epoch = 0 }
+let create () =
+  { slope = 0; const = 0; active = Hashtbl.create 8; run_b = 0; run_c = 0 }
 
 let on_start t ~key ~start =
   if Hashtbl.mem t.active key then
     invalid_arg "Tracker.on_start: duplicate active key";
-  t.epoch <- t.epoch + 1;
-  Hashtbl.add t.active key start
+  Hashtbl.add t.active key start;
+  t.run_b <- t.run_b + 1 - (2 * start);
+  t.run_c <- t.run_c + (start * (start - 1))
+
+(* Drop a running piece's terms from the polynomial. *)
+let retract t start =
+  t.run_b <- t.run_b - 1 + (2 * start);
+  t.run_c <- t.run_c - (start * (start - 1))
 
 let on_complete t ~key ~size =
-  match Hashtbl.find_opt t.active key with
-  | None -> invalid_arg "Tracker.on_complete: unknown key"
-  | Some start ->
-      t.epoch <- t.epoch + 1;
+  match Hashtbl.find t.active key with
+  | exception Not_found -> invalid_arg "Tracker.on_complete: unknown key"
+  | start ->
       Hashtbl.remove t.active key;
+      retract t start;
       t.slope <- t.slope + size;
       t.const <- t.const - (size * ((2 * start) + size - 1))
 
 let on_abort t ~key =
-  if not (Hashtbl.mem t.active key) then
-    invalid_arg "Tracker.on_abort: unknown key";
-  t.epoch <- t.epoch + 1;
-  Hashtbl.remove t.active key
+  match Hashtbl.find t.active key with
+  | exception Not_found -> invalid_arg "Tracker.on_abort: unknown key"
+  | start ->
+      Hashtbl.remove t.active key;
+      retract t start
 
-let epoch t = t.epoch
-
-(* (a, b, c) with value_scaled ~at = a·at² + b·at + c for every [at] at or
-   after the latest start: each active piece contributes
-   (at−s)(at−s+1) = at² + at·(1−2s) + (s²−s), completed pieces are linear.
-   Exact integer identity — evaluating the polynomial gives bit-identical
-   results to the direct fold in [value_scaled]. *)
-let coeffs_scaled t =
-  Hashtbl.fold
-    (fun _ start (a, b, c) ->
-      (a + 1, b + 1 - (2 * start), c + (start * (start - 1))))
-    t.active
-    (0, 2 * t.slope, t.const)
+(* value_scaled ~at = a·at² + b·at + c for every [at] at or after the
+   latest start.  Exact integer identity — evaluating the polynomial gives
+   bit-identical results to the direct fold in [value_scaled]. *)
+let coeff_a t = Hashtbl.length t.active
+let coeff_b t = (2 * t.slope) + t.run_b
+let coeff_c t = t.const + t.run_c
 
 let value_scaled t ~at =
   let finished = (2 * t.slope * at) + t.const in

@@ -1,13 +1,20 @@
 (** Incremental ψsp accounting for one stream of job pieces.
 
     Recomputing ψsp from the full schedule at every scheduling event is
-    O(jobs so far); this tracker answers utility queries in O(active jobs)
-    by splitting ψsp(t) into a closed form:
+    O(jobs so far); this tracker splits ψsp(t) into a closed form:
 
     - a completed piece [(s,p)] contributes [p·t − p(2s+p−1)/2]: linear in
       [t], so finished jobs collapse into two accumulated coefficients;
     - a piece still running at [t] contributes the triangular number
-      [(t−s)(t−s+1)/2], computed per active job.
+      [(t−s)(t−s+1)/2] = [(t² + t·(1−2s) + s(s−1))/2], so the running
+      pieces collapse into three sums kept up to date by every state
+      change.
+
+    Between two state changes ψsp is therefore an exact integer polynomial
+    in [t] whose coefficients ({!coeff_a}, {!coeff_b}, {!coeff_c}) are read
+    in O(1) without allocating.  {!value_scaled} and {!parts} still fold
+    over the running pieces directly (O(active jobs)): the direct fold is
+    the independent computation the polynomial is checked against.
 
     One tracker instance serves one organization in one (coalition)
     schedule.  The same structure also tracks the *contribution* estimate of
@@ -51,17 +58,11 @@ val parts : t -> at:int -> int
 
 val active_count : t -> int
 
-val epoch : t -> int
-(** Monotone state-change counter: bumped by every {!on_start},
-    {!on_complete} and {!on_abort}.  Two calls observing the same epoch are
-    guaranteed the same internal state, so any value derived from it (e.g.
-    {!coeffs_scaled}) may be cached across instants and invalidated by
-    comparing epochs — the basis of the coalition-value cache
-    (DESIGN.md §13). *)
-
-val coeffs_scaled : t -> int * int * int
-(** [(a, b, c)] such that [value_scaled ~at = a·at² + b·at + c] for every
+val coeff_a : t -> int
+val coeff_b : t -> int
+val coeff_c : t -> int
+(** [a], [b], [c] such that [value_scaled ~at = a·at² + b·at + c] for every
     [at] at or after the latest start — ψsp between two state changes is an
     exact integer polynomial in time (completed pieces are linear, each
-    running piece adds one triangular term).  Evaluating the polynomial is
-    bit-identical to {!value_scaled}. *)
+    running piece adds one triangular term).  O(1), allocation-free;
+    evaluating the polynomial is bit-identical to {!value_scaled}. *)

@@ -320,6 +320,20 @@ let test_cluster_model_based () =
               (fun u -> not (Queue.is_empty queues.(u)))
               (List.init norgs Fun.id)))
         (List.length (Cluster.waiting_orgs c));
+      (* FIFO pick: earliest front release, lowest org on ties. *)
+      (match
+         List.filter
+           (fun u -> not (Queue.is_empty queues.(u)))
+           (List.init norgs Fun.id)
+       with
+      | [] -> ()
+      | first :: rest ->
+          let front u = (Queue.peek queues.(u)).Job.release in
+          Alcotest.(check int) "fifo org"
+            (List.fold_left
+               (fun best u -> if front u < front best then u else best)
+               first rest)
+            (Cluster.fifo_org c));
       for u = 0 to norgs - 1 do
         Alcotest.(check int) "queue length" (Queue.length queues.(u))
           (Cluster.waiting_count c u);

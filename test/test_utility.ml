@@ -177,6 +177,48 @@ let test_tracker_parts_and_errors () =
     (Invalid_argument "Tracker.on_start: duplicate active key") (fun () ->
       Tracker.on_start t ~key:2 ~start:4)
 
+(* The O(1) coefficients must equal the direct triangular fold at every
+   [at] at or after the latest start, after any stream of starts,
+   completions and aborts.  Ops: (kind, time step, size); a completion or
+   abort picks a running piece by position, and is skipped when none
+   runs. *)
+let qcheck_tracker_coeffs =
+  QCheck.Test.make ~name:"O(1) coefficients = direct fold" ~count:500
+    QCheck.(
+      small_list
+        (triple (int_range 0 2) (int_range 0 4)
+           (pair (int_range 1 8) (int_range 0 7))))
+    (fun ops ->
+      let t = Tracker.create () in
+      let now = ref 0 and latest = ref 0 and next_key = ref 0 in
+      let running = ref [] in
+      let agrees () =
+        let a = Tracker.coeff_a t
+        and b = Tracker.coeff_b t
+        and c = Tracker.coeff_c t in
+        List.for_all
+          (fun d ->
+            let at = !latest + d in
+            Tracker.value_scaled t ~at = (((a * at) + b) * at) + c)
+          [ 0; 1; 2; 5; 13 ]
+      in
+      List.for_all
+        (fun (kind, step, (size, pick)) ->
+          now := !now + step;
+          (match (kind, !running) with
+          | 0, _ | _, [] ->
+              Tracker.on_start t ~key:!next_key ~start:!now;
+              running := !next_key :: !running;
+              incr next_key;
+              latest := !now
+          | _, keys ->
+              let key = List.nth keys (pick mod List.length keys) in
+              running := List.filter (( <> ) key) keys;
+              if kind = 1 then Tracker.on_complete t ~key ~size
+              else Tracker.on_abort t ~key);
+          agrees ())
+        ops)
+
 (* --- Metrics --------------------------------------------------------------- *)
 
 let test_metrics () =
@@ -247,6 +289,7 @@ let () =
             test_tracker_matches_closed_form;
           Alcotest.test_case "parts & errors" `Quick
             test_tracker_parts_and_errors;
+          QCheck_alcotest.to_alcotest qcheck_tracker_coeffs;
         ] );
       ( "metrics",
         [
