@@ -1043,9 +1043,11 @@ let serve_cmd =
       & opt (nonneg_float_conv "--commit-interval") 0.
       & info [ "commit-interval" ] ~docv:"MS"
           ~doc:
-            "Group-commit window in milliseconds: hold acks so one fsync \
-             covers a batch, bounding the added latency by this window.  0 \
-             fsyncs every pump (the classic behaviour).  Acked submissions \
+            "Group-commit bound in milliseconds: the longest an ack may be \
+             held so one fsync covers a batch.  A shard commits as soon as \
+             no more input is waiting, so this bound only bites under \
+             sustained load; it is not a fixed wait.  0 fsyncs every pump \
+             that appended (the classic behaviour).  Acked submissions \
              survive kill -9 either way.")
   in
   let log_level_arg =

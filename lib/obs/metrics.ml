@@ -2,31 +2,57 @@ let enabled_flag = Atomic.make false
 let set_enabled b = Atomic.set enabled_flag b
 let enabled () = Atomic.get enabled_flag
 
-(* Shards are indexed by domain id modulo a fixed power of two: distinct
-   domains usually hit distinct cells (no cross-domain contention on the hot
-   path), and two domains that do collide are still correct because every
-   cell is atomic. *)
+(* Counter shards are indexed by domain id modulo a fixed power of two:
+   distinct domains usually hit distinct cells (no cross-domain contention
+   on the hot path), and two domains that do collide are still correct
+   because every cell is atomic. *)
 let nshards = 32
 let shard () = (Domain.self () :> int) land (nshards - 1)
 
 (* --- pure histogram core ------------------------------------------------ *)
 
+(* Log-linear buckets over the non-negative integers: one per integer
+   below 128, then 64 linear sub-buckets per power of two, so a bucket's
+   members are within 1/64 of each other.  Observations are counted at
+   integer resolution (the daemon records ns and µs), rounded up so the
+   bucket's largest member covers every value counted in it. *)
 module Hist = struct
   type buckets = int array
 
-  let nbuckets = 64
+  let sub = 64
+
+  let index v =
+    if v < sub then v
+    else begin
+      let e = ref 0 in
+      while v lsr !e >= 2 * sub do
+        incr e
+      done;
+      ((!e + 1) * sub) + ((v lsr !e) - sub)
+    end
+
+  let nbuckets = index max_int + 1
   let create () = Array.make nbuckets 0
 
   let bucket_of v =
     if not (v > 0.) then 0 (* negatives and nan clamp to the zero bucket *)
     else
-      let _, e = Float.frexp v in
-      (* v = m·2^e with m in [0.5, 1), i.e. v in [2^(e-1), 2^e) *)
-      if e <= 0 then 0 else Stdlib.min (nbuckets - 1) e
+      let c = Float.ceil v in
+      if c >= 0x1p62 then nbuckets - 1 else index (int_of_float c)
 
-  let upper_bound b = if b = 0 then 1.0 else Float.ldexp 1.0 b
-  let add h v = h.(bucket_of v) <- h.(bucket_of v) + 1
+  (* The largest integer bucket [b] holds. *)
+  let upper_bound b =
+    if b < sub then float_of_int b
+    else
+      let e = (b / sub) - 1 and m = (b mod sub) + sub in
+      float_of_int (((m + 1) lsl e) - 1)
+
+  let add h v =
+    let b = bucket_of v in
+    h.(b) <- h.(b) + 1
+
   let merge a b = Array.init nbuckets (fun i -> a.(i) + b.(i))
+  let add_into dst src = Array.iteri (fun i n -> dst.(i) <- dst.(i) + n) src
   let count h = Array.fold_left ( + ) 0 h
 
   let quantile h q =
@@ -50,8 +76,15 @@ end
 type counter = { cells : int Atomic.t array }
 type gauge = { bits : int64 Atomic.t (* float bits *) }
 
+(* Each domain counts into its own plain array, allocated on its first
+   observation; reads sum them under [lock].  A domain folds its counts
+   into [retired] when it exits, so spawning domains does not grow the
+   histogram. *)
 type histogram = {
-  shards : int Atomic.t array array; (* nshards × Hist.nbuckets *)
+  local : Hist.buckets option Domain.DLS.key;
+  lock : Mutex.t;
+  mutable live : Hist.buckets list;
+  mutable retired : Hist.buckets;  (* [||] until a domain exits *)
   hmax : int64 Atomic.t; (* float bits; valid order because values >= 0 *)
 }
 
@@ -98,9 +131,10 @@ let histogram name =
     (fun () ->
       let h =
         {
-          shards =
-            Array.init nshards (fun _ ->
-                Array.init Hist.nbuckets (fun _ -> Atomic.make 0));
+          local = Domain.DLS.new_key (fun () -> None);
+          lock = Mutex.create ();
+          live = [];
+          retired = [||];
           hmax = Atomic.make 0L;
         }
       in
@@ -114,10 +148,26 @@ let add c n =
 let incr c = add c 1
 let set g v = if Atomic.get enabled_flag then Atomic.set g.bits (Int64.bits_of_float v)
 
+let retire h counts =
+  Mutex.protect h.lock (fun () ->
+      h.live <- List.filter (( != ) counts) h.live;
+      if Array.length h.retired = 0 then h.retired <- counts
+      else Hist.add_into h.retired counts)
+
+let local_counts h =
+  match Domain.DLS.get h.local with
+  | Some counts -> counts
+  | None ->
+      let counts = Hist.create () in
+      Mutex.protect h.lock (fun () -> h.live <- counts :: h.live);
+      Domain.DLS.set h.local (Some counts);
+      Domain.at_exit (fun () -> retire h counts);
+      counts
+
 let observe h v =
   if Atomic.get enabled_flag then begin
     let v = if Float.is_finite v && v > 0. then v else 0. in
-    ignore (Atomic.fetch_and_add h.shards.(shard ()).(Hist.bucket_of v) 1);
+    Hist.add (local_counts h) v;
     let bits = Int64.bits_of_float v in
     let rec bump () =
       let cur = Atomic.get h.hmax in
@@ -134,13 +184,17 @@ let counter_value c =
 
 let gauge_value g = Int64.float_of_bits (Atomic.get g.bits)
 
+(* [None] until some domain observes, so a registry snapshot costs
+   nothing for histograms a run never fed (Sim.Driver.run takes one per
+   simulation). *)
 let merged_buckets h =
-  let merged = Hist.create () in
-  Array.iter
-    (fun sh ->
-      Array.iteri (fun b cell -> merged.(b) <- merged.(b) + Atomic.get cell) sh)
-    h.shards;
-  merged
+  Mutex.protect h.lock (fun () ->
+      if h.live = [] && Array.length h.retired = 0 then None
+      else begin
+        let merged = Hist.create () in
+        List.iter (Hist.add_into merged) (h.retired :: h.live);
+        Some merged
+      end)
 
 type summary = {
   count : int;
@@ -154,13 +208,15 @@ type value = Counter of int | Gauge of float | Histogram of summary
 type snapshot = (string * value) list
 
 let summarize h =
-  let b = merged_buckets h in
-  let max = Int64.float_of_bits (Atomic.get h.hmax) in
-  (* [Hist.quantile] answers with the upper bound of the rank's bucket,
-     which can overshoot the largest observation; the exact max is tracked
-     on the side, so clamp to it. *)
-  let q p = Float.min (Hist.quantile b p) max in
-  { count = Hist.count b; p50 = q 0.5; p90 = q 0.9; p99 = q 0.99; max }
+  match merged_buckets h with
+  | None -> { count = 0; p50 = 0.; p90 = 0.; p99 = 0.; max = 0. }
+  | Some b ->
+      let max = Int64.float_of_bits (Atomic.get h.hmax) in
+      (* [Hist.quantile] answers with the largest member of the rank's
+         bucket, which can overshoot the largest observation; the exact
+         max is tracked on the side, so clamp to it. *)
+      let q p = Float.min (Hist.quantile b p) max in
+      { count = Hist.count b; p50 = q 0.5; p90 = q 0.9; p99 = q 0.99; max }
 
 let snapshot () =
   Mutex.lock registry_mutex;
@@ -207,7 +263,9 @@ let pp ppf () =
     (snapshot ())
 
 let clear h =
-  Array.iter (Array.iter (fun cell -> Atomic.set cell 0)) h.shards;
+  Mutex.protect h.lock (fun () ->
+      List.iter (fun counts -> Array.fill counts 0 Hist.nbuckets 0) h.live;
+      h.retired <- [||]);
   Atomic.set h.hmax 0L
 
 let reset () =

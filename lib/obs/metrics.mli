@@ -1,11 +1,12 @@
-(** Process-wide registry of named counters, gauges, and log-bucketed
+(** Process-wide registry of named counters, gauges, and log-linear
     histograms.
 
     Handles are created once (typically at module initialization) and are
-    cheap to update from any domain: every counter and histogram is backed
-    by per-domain shards (atomic cells indexed by the calling domain's id)
-    that are only merged when a {!snapshot} is taken, so hot-path updates
-    never contend on a single cache line across the worker pool.
+    cheap to update from any domain: every counter is backed by per-domain
+    shards (atomic cells indexed by the calling domain's id) and every
+    histogram by one plain count array per observing domain, all merged
+    only when a {!snapshot} is taken, so hot-path updates never contend on
+    a single cache line across the worker pool.
 
     Collection is {b off by default}: {!incr}, {!add}, {!set} and
     {!observe} are no-ops (one atomic load and a branch) until
@@ -52,8 +53,11 @@ type summary = {
   p99 : float;
   max : float;
 }
-(** Quantiles are upper bounds of the log₂ bucket containing the rank (at
-    most 2× the true value); [max] is exact. *)
+(** Quantiles are the largest member of the {!Hist} bucket holding the
+    rank, clamped to [max]: exact for integer observations below 128,
+    otherwise at most 1/64 above the exact nearest-rank value (plus the
+    rounding of a fractional observation up to an integer); [max] is
+    exact. *)
 
 type value = Counter of int | Gauge of float | Histogram of summary
 type snapshot = (string * value) list
@@ -65,18 +69,22 @@ val to_json : unit -> Json.t
 val pp : Format.formatter -> unit -> unit
 
 val reset : unit -> unit
-(** Zero every registered metric (registrations and handles stay valid). *)
+(** Zero every registered metric (registrations and handles stay valid).
+    Meant for quiescent points: an observation racing it may survive. *)
 
 val clear : histogram -> unit
-(** Zero one histogram, leaving every other metric as it is. *)
+(** Zero one histogram, leaving every other metric as it is (same caveat
+    as {!reset}). *)
 
 (** {1 Histogram buckets} — the pure core, exposed for property tests *)
 
 module Hist : sig
   type buckets = int array
-  (** [buckets.(0)] counts observations in [\[0, 1)]; [buckets.(b)] for
-      [b >= 1] counts [\[2^(b-1), 2^b)]; the top bucket absorbs the
-      overflow. *)
+  (** An observation [v] is counted at the integer [⌈v⌉] (negatives and
+      nan at 0).  [buckets.(b)] counts exactly the integer [b] for
+      [b < 128]; above, each power of two [\[2^k, 2^(k+1))] is split
+      into 64 equal sub-buckets, so a bucket's members are within 1/64
+      of each other.  The top bucket absorbs the overflow. *)
 
   val nbuckets : int
   val create : unit -> buckets
@@ -90,7 +98,9 @@ module Hist : sig
   val count : buckets -> int
 
   val quantile : buckets -> float -> float
-  (** [quantile h q] for [q] in [\[0, 1\]]: the upper bound of the bucket
-      holding the observation of rank [⌈q·count⌉] (rank clamped to
-      [\[1, count\]]); [0.] when empty.  Monotone in [q]. *)
+  (** [quantile h q] for [q] in [\[0, 1\]]: the largest member of the
+      bucket holding the observation of rank [⌈q·count⌉] (rank clamped to
+      [\[1, count\]]); [0.] when empty.  Monotone in [q]; for integer
+      observations never below, and at most 1/64 above, the exact
+      nearest-rank value. *)
 end

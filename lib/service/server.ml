@@ -593,26 +593,32 @@ let rec serve_loop s listen_fd =
     let timeout =
       if not (Shard.Mailbox.is_empty s.comp) then 0.0
       else if s.threaded then 1.0
-      else Float.min 1.0 (Shard.wait_timeout s.workers.(0))
+      else Shard.wait_timeout s.workers.(0)
+    in
+    let flush () =
+      handle_completions s;
+      List.iter (fun c -> if not c.closed then write_conn c) s.conns
+    in
+    (* The inline worker's round is split around the router's writes:
+       query replies and rejects go out before the group commit's fsync,
+       held acks right after it.  An idle tick still runs the round:
+       overload recovery is observed calm, not absence of traffic. *)
+    let round () =
+      if not s.threaded then begin
+        Shard.process s.workers.(0);
+        flush ();
+        Shard.settle s.workers.(0)
+      end;
+      flush ()
     in
     (match Unix.select readers writers [] timeout with
-    | rs, ws, _ ->
+    | rs, _, _ ->
         if List.mem listen_fd rs then accept_conn s listen_fd;
         List.iter
           (fun c -> if (not c.closed) && List.mem c.fd rs then read_conn s c)
           s.conns;
-        if not s.threaded then Shard.pump s.workers.(0);
-        handle_completions s;
-        List.iter
-          (fun c ->
-            if (not c.closed) && (List.mem c.fd ws || Buffer.length c.out > 0)
-            then write_conn c)
-          s.conns
-    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-        (* An idle tick still pumps the inline worker: overload recovery
-           is observed calm, not absence of traffic. *)
-        if not s.threaded then Shard.pump s.workers.(0);
-        handle_completions s);
+        round ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> round ());
     serve_loop s listen_fd
   end
 

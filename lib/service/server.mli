@@ -83,11 +83,13 @@ type config = {
           [shards] value for a fixed [groups]: the partition, not the
           execution, decides which engine sees which event. *)
   commit_interval : float;
-      (** group-commit window in seconds; 0 (the default) fsyncs every
-          pump exactly as the pre-sharding server did.  Positive values
-          bound the extra ack latency while letting one fsync cover many
-          acks ([service.fsync_total] stays well below
-          [service.acks_total] under load). *)
+      (** upper bound in seconds on how long an ack is held for group
+          commit; 0 (the default) fsyncs every pump that appended,
+          exactly as the pre-sharding server did.  With a positive value
+          a shard still commits as soon as its backlog empties, so the
+          bound only bites under sustained load, where one fsync covers
+          many acks ([service.fsync_total] stays well below
+          [service.acks_total]). *)
 }
 
 val make_config :

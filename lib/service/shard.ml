@@ -35,8 +35,8 @@ let h_commit_hold_us = Obs.Metrics.histogram "service.commit_hold_us"
    A mutex-protected queue with a pipe for readiness: the producer writes
    one wake byte on the empty->non-empty transition, the consumer selects
    on the read end (a timed wait — OCaml's Condition has no timeout, and
-   group-commit needs deadline wakeups).  Single producer (the router),
-   single consumer (one worker domain), but safe for any number. *)
+   the idle tick needs one).  Single producer (the router), single
+   consumer (one worker domain), but safe for any number. *)
 module Mailbox = struct
   type 'a t = {
     q : 'a Queue.t;
@@ -95,7 +95,7 @@ type query = Q_status | Q_psi | Q_snapshot | Q_drain of { detail : bool }
 type 'tok msg =
   | Feed of { tok : 'tok; req : Protocol.request; t_enq : float }
   | Query of { tok : 'tok; q : query }
-  | Tick  (* wake only: commit deadlines, stop checks *)
+  | Tick  (* wake only: stop checks *)
 
 (* Per-shard slices of the aggregated control responses.  Arrays are
    local to the group's org block; the router scatters them into global
@@ -145,7 +145,7 @@ type 'tok t = {
   site_prefix : string;
   snapshot_every : int;
   degrade_to : string option;
-  commit_interval : float;  (* seconds; 0 = fsync every pump *)
+  commit_interval : float;  (* seconds: upper bound on an ack's hold *)
   commit_max : int;  (* held-ack count that forces an early commit *)
   mutable online : Online.t;
   mutable estimator : string;
@@ -158,10 +158,9 @@ type 'tok t = {
   mutable draining : bool;
   dedupe : (int, int * Protocol.response) Hashtbl.t;
   detector : Overload.t;
-  (* group-commit: acks awaiting the fsync that covers their records *)
-  mutable held : ('tok * Protocol.response * float) list;  (* newest first *)
-  mutable held_n : int;
-  mutable first_held : float;
+  (* group-commit: acks awaiting the fsync that covers their records,
+     oldest first, each with its enqueue time *)
+  held : ('tok * Protocol.response * float) Queue.t;
   mutable fsyncs : int;
   (* published for the router's routing/shedding decisions *)
   pub_overloaded : bool Atomic.t;
@@ -383,9 +382,7 @@ let create ~partition ~group ~state_dir ~overload ~degrade_to ~snapshot_every
         Overload.create ~config:overload
           ~now_ms:(fun () -> Obs.Clock.now_s () *. 1000.0)
           ();
-      held = [];
-      held_n = 0;
-      first_held = 0.;
+      held = Queue.create ();
       fsyncs = 0;
       pub_overloaded = Atomic.make false;
       pub_retry_ms = Atomic.make 25;
@@ -429,41 +426,30 @@ let do_snapshot t =
 
 (* --- Group commit --------------------------------------------------------
    Acks of accepted feeds are held until one fsync covers the whole
-   batch.  With [commit_interval = 0] every pump that appended syncs
-   immediately (the pre-sharding behaviour: one fsync per select round);
-   with an interval, appends accumulate until the deadline or
-   [commit_max] held acks, amortizing the fsync across them.  A sync
-   failure answers the held batch with wal-error and keeps the records
-   buffered — the next successful commit repairs and lands them. *)
+   batch.  The worker commits at the end of each pump when its backlog
+   is empty (no more input is waiting, so holding buys nothing), when
+   [commit_max] acks are held, or when the oldest held ack has waited
+   [commit_interval] — an upper bound on the hold, not a fixed wait;
+   [commit_interval = 0] syncs every pump that appended.  A sync failure
+   answers the held batch with wal-error and keeps the records buffered —
+   the next successful commit repairs and lands them. *)
 
-let hold t tok resp t_enq =
-  if t.held_n = 0 then t.first_held <- t_enq;
-  (* first_held is set from the enqueue time of the oldest held ack, so a
-     commit interval bounds the *total* added latency, not just the
-     server-side part *)
-  t.held <- (tok, resp, t_enq) :: t.held;
-  t.held_n <- t.held_n + 1
+let hold t tok resp t_enq = Queue.push (tok, resp, t_enq) t.held
 
+(* The interval bound runs from the oldest held ack's enqueue time, so it
+   bounds the total added latency, not just the server-side part. *)
 let commit_due t ~now ~force =
-  let wal_pending =
-    match t.writer with Some w -> Wal.pending w | None -> false
-  in
-  (t.held_n > 0 || wal_pending)
-  && (force
-     || t.commit_interval <= 0.
-     || t.held_n >= t.commit_max
-     || (t.held_n > 0 && now -. t.first_held >= t.commit_interval))
+  let n = Queue.length t.held in
+  (n > 0 || match t.writer with Some w -> Wal.pending w | None -> false)
+  && (force || t.commit_interval <= 0. || n >= t.commit_max
+     ||
+     match Queue.peek_opt t.held with
+     | Some (_, _, t_enq) -> now -. t_enq >= t.commit_interval
+     | None -> false)
 
-(* Seconds until the commit deadline, when acks are held; [None] = no
-   deadline pending. *)
-let commit_deadline t ~now =
-  if t.held_n = 0 || t.commit_interval <= 0. then None
-  else Some (Float.max 0. (t.first_held +. t.commit_interval -. now))
-
-(* Returns the completions this commit releases (in request order). *)
-let commit t ~now ~force =
-  if not (commit_due t ~now ~force) then []
-  else begin
+(* Posts the acks this commit releases, in request order. *)
+let commit t ~post ~now ~force =
+  if commit_due t ~now ~force then begin
     let sync_result =
       match t.writer with
       | Some w when Wal.pending w ->
@@ -472,7 +458,7 @@ let commit t ~now ~force =
               ~args:
                 [
                   ("group", Obs.Json.Int t.group);
-                  ("acks", Obs.Json.Int t.held_n);
+                  ("acks", Obs.Json.Int (Queue.length t.held));
                 ]
               "wal.commit"
               (fun () ->
@@ -489,10 +475,7 @@ let commit t ~now ~force =
           r
       | Some _ | None -> Ok ()
     in
-    let held = List.rev t.held in
-    t.held <- [];
-    t.held_n <- 0;
-    List.map
+    Queue.iter
       (fun (tok, resp, t_enq) ->
         Overload.observe_ack t.detector ~latency_ms:((now -. t_enq) *. 1000.);
         Obs.Metrics.incr m_acks;
@@ -504,8 +487,9 @@ let commit t ~now ~force =
               Protocol.Error
                 { code = Protocol.Wal_error; msg; retry_after_ms = None }
         in
-        Ack { tok; resp })
-      held
+        post (Ack { tok; resp }))
+      t.held;
+    Queue.clear t.held
   end
 
 (* --- Feed processing ----------------------------------------------------- *)
@@ -651,7 +635,7 @@ let query t ~post ~now tok q =
       let r =
         Result.map (fun path -> (t.seq, path)) (do_snapshot t)
       in
-      List.iter post (commit t ~now ~force:true);
+      commit t ~post ~now ~force:true;
       part (P_snapshot r)
   | Q_drain { detail } ->
       if not t.draining then begin
@@ -664,7 +648,7 @@ let query t ~post ~now tok q =
                Obs.Log.error ~component:"shard"
                  ~fields:[ ("group", Obs.Json.Int t.group) ]
                  "final snapshot failed: %s" msg);
-        List.iter post (commit t ~now ~force:true)
+        commit t ~post ~now ~force:true
       end;
       part (P_drain (drain_part t ~detail))
 
@@ -787,12 +771,11 @@ let publish_slo t ~now =
     end
   end
 
-(* One processing round: pull queued messages, feed at most
-   [drain_batch] engine entries (control queries don't consume the
-   budget, matching the pre-sharding server), run the group-commit
-   policy, compact, re-evaluate overload.  Runs on the worker domain —
-   or inline on the router thread when the daemon is single-shard. *)
-let pump w =
+(* One processing round, split in two so that a single-shard router can
+   write [process]'s replies before [settle]'s fsync.  Control queries
+   don't consume the [drain_batch] budget, matching the pre-sharding
+   server. *)
+let process w =
   List.iter (fun m -> Queue.push m w.w_backlog) (Mailbox.drain w.w_mb);
   let now = Unix.gettimeofday () in
   let feeds = ref 0 in
@@ -806,17 +789,21 @@ let pump w =
         incr feeds
     | Query { tok; q } -> query (worker_shard w g) ~post:w.w_post ~now tok q
     | Tick -> ()
-  done;
+  done
+
+let settle w =
+  let now = Unix.gettimeofday () in
+  let idle = Queue.is_empty w.w_backlog in
   List.iter
     (fun (_, sh) ->
-      List.iter w.w_post (commit sh ~now ~force:false);
+      commit sh ~post:w.w_post ~now ~force:idle;
       (* automatic compaction once enough records accumulated — but not
          while acks are held: the WAL reset below a held batch would
          drop its buffered bytes before snapshot covers them *)
       if
         sh.state_dir <> None && sh.snapshot_every > 0
         && sh.since_snapshot >= sh.snapshot_every
-        && sh.held_n = 0
+        && Queue.is_empty sh.held
       then (
         match do_snapshot sh with
         | Ok _ -> ()
@@ -836,18 +823,10 @@ let pump w =
     w.w_shards
 
 (* Seconds the worker may sleep before something needs it: 0 when work
-   is queued, else the nearest commit deadline, else a 1 s idle tick
-   (the overload detector recovers by observing calm). *)
-let wait_timeout w =
-  if not (Queue.is_empty w.w_backlog) then 0.
-  else
-    let now = Unix.gettimeofday () in
-    List.fold_left
-      (fun acc (_, sh) ->
-        match commit_deadline sh ~now with
-        | Some d -> Float.min acc d
-        | None -> acc)
-      1.0 w.w_shards
+   is queued, else a 1 s idle tick (the overload detector recovers by
+   observing calm).  No ack waits on a deadline: [settle] commits every
+   held batch once the backlog is empty. *)
+let wait_timeout w = if Queue.is_empty w.w_backlog then 1.0 else 0.
 
 let worker_loop w =
   (* own Chrome trace lane per worker domain; lane 1 is the router *)
@@ -859,7 +838,8 @@ let worker_loop w =
          match Unix.select [ Mailbox.wait_fd w.w_mb ] [] [] timeout with
          | _ -> ()
          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      pump w
+      process w;
+      settle w
     done
   with e ->
     (* a dead shard would hang its org-groups' clients silently; take the

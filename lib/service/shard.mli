@@ -17,16 +17,18 @@
     belongs to.
 
     {b Group commit.}  Acks of accepted feeds are {e held} until one
-    [fsync] covers the whole batch.  [commit_interval = 0] syncs every
-    pump (the pre-sharding behaviour: one fsync per select round); a
-    positive interval lets appends accumulate until the oldest held ack
-    is [commit_interval] seconds old or [commit_max] acks are held,
-    amortizing the fsync.  Durability is unchanged: no ack leaves the
-    shard before the fsync (or snapshot) covering its record succeeds,
-    so every acked submission still survives [kill -9]. *)
+    [fsync] covers the whole batch.  A worker commits at the end of a
+    round when its backlog is empty, when [commit_max] acks are held, or
+    when the oldest held ack is [commit_interval] seconds old: the
+    interval is an upper bound on the hold, not a fixed wait, and under
+    load the fsync amortizes over whatever arrived while the last one
+    ran.  [commit_interval = 0] syncs every round that appended.
+    Durability is unchanged: no ack leaves the shard before the fsync
+    (or snapshot) covering its record succeeds, so every acked
+    submission still survives [kill -9]. *)
 
 (** A mutex-protected queue with a pipe for readiness, so the consumer
-    can [select] with a timeout (group-commit deadlines).  SPSC in the
+    can [select] with a timeout (the idle tick).  SPSC in the
     daemon, safe for any number of producers. *)
 module Mailbox : sig
   type 'a t
@@ -58,7 +60,7 @@ type 'tok msg =
       (** a [Submit]/[Fault]/[Endow] already range-validated and admitted
           by the router; [t_enq] is its enqueue wall-clock time *)
   | Query of { tok : 'tok; q : query }
-  | Tick  (** wake only — commit deadlines, stop checks *)
+  | Tick  (** wake only — stop checks *)
 
 (** {2 Completions — shard to router}
 
@@ -159,21 +161,27 @@ val make_worker :
 
 val post_msg : 'tok worker -> group:int -> 'tok msg -> unit
 
-val pump : 'tok worker -> unit
-(** One processing round: drain the mailbox, feed at most [drain_batch]
-    engine entries (control queries ride free, as before), run the
-    group-commit policy, compact if due, re-evaluate overload.  Called
-    in a loop by {!start_worker}'s domain — or directly by the router
-    when the daemon runs single-shard, preserving the pre-sharding
-    single-threaded execution exactly. *)
+val process : 'tok worker -> unit
+(** The first half of a processing round: drain the mailbox and feed at
+    most [drain_batch] engine entries (control queries ride free, as
+    before).  Query replies and rejects are posted at once; accepted
+    feeds' acks are held for {!settle}. *)
+
+val settle : 'tok worker -> unit
+(** The second half: run the group-commit policy (posting the held acks
+    once their fsync returns, as wal-error if it failed), compact if
+    due, re-evaluate overload.
+    {!start_worker}'s domain loops over {!process} then [settle]; a
+    single-shard daemon's router calls them directly and writes the
+    replies {!process} posted before [settle]'s fsync. *)
 
 val wait_timeout : 'tok worker -> float
-(** Seconds the worker may sleep: 0 when work is backlogged, else the
-    nearest commit deadline, else a 1 s idle tick (overload recovery is
-    observed calm). *)
+(** Seconds the worker may sleep: 0 when work is backlogged, else a 1 s
+    idle tick (overload recovery is observed calm).  No held ack waits
+    on a timer: {!settle} commits them all once the backlog is empty. *)
 
 val start_worker : 'tok worker -> unit
-(** Spawn the worker's domain running [select]+{!pump}. *)
+(** Spawn the worker's domain running [select]+{!process}+{!settle}. *)
 
 val stop_worker : 'tok worker -> unit
 (** Stop and join the domain (if any), close mailbox and shard WALs. *)

@@ -236,17 +236,47 @@ let test_hist_quantile_bounds =
       let top = List.fold_left Float.max 0. xs in
       Obs.Metrics.Hist.quantile (hist_of xs) 1. >= top)
 
+(* Exact below 128, then 64 sub-buckets per power of two; a fractional
+   observation counts at its ceiling. *)
 let test_hist_buckets () =
   let open Obs.Metrics.Hist in
   check Alcotest.int "bucket of 0" 0 (bucket_of 0.);
-  check Alcotest.int "bucket of 0.5" 0 (bucket_of 0.5);
+  check Alcotest.int "bucket of 0.5" 1 (bucket_of 0.5);
   check Alcotest.int "bucket of 1" 1 (bucket_of 1.);
-  check Alcotest.int "bucket of 2" 2 (bucket_of 2.);
-  check Alcotest.int "bucket of 3" 2 (bucket_of 3.);
-  check Alcotest.int "bucket of 4" 3 (bucket_of 4.);
+  check Alcotest.int "bucket of 3" 3 (bucket_of 3.);
+  check Alcotest.int "bucket of 63" 63 (bucket_of 63.);
+  check Alcotest.int "bucket of 127" 127 (bucket_of 127.);
+  check Alcotest.int "128 and 129 share a bucket" (bucket_of 128.)
+    (bucket_of 129.);
+  check Alcotest.int "130 starts the next" (bucket_of 128. + 1)
+    (bucket_of 130.);
+  check Alcotest.int "2^20 + 2^14 - 1 and 2^20 share a bucket"
+    (bucket_of 1048576.) (bucket_of 1064959.);
+  check Alcotest.int "2^20 + 2^14 starts the next" (bucket_of 1048576. + 1)
+    (bucket_of 1064960.);
   check Alcotest.int "negative clamps to 0" 0 (bucket_of (-5.));
   check Alcotest.int "top bucket absorbs" (nbuckets - 1) (bucket_of 1e300);
   check (Alcotest.float 0.) "empty quantile" 0. (quantile (create ()) 0.5)
+
+(* For integer observations, every quantile is at most 1/64 above the
+   exact nearest-rank value of a sort, and never below it. *)
+let test_hist_quantile_precision =
+  QCheck.Test.make ~count:300 ~name:"hist quantile within 1/64 of exact"
+    (QCheck.pair
+       QCheck.(list_of_size Gen.(1 -- 300) (int_bound 1_000_000_000))
+       (QCheck.float_bound_inclusive 1.))
+    (fun (xs, q) ->
+      let h = hist_of (List.map float_of_int xs) in
+      let sorted = Array.of_list (List.sort compare xs) in
+      let n = Array.length sorted in
+      let rank =
+        max 1 (min n (int_of_float (Float.ceil (q *. float_of_int n))))
+      in
+      let exact = float_of_int sorted.(rank - 1) in
+      let got = Obs.Metrics.Hist.quantile h q in
+      if got < exact || got -. exact > exact /. 64. then
+        QCheck.Test.fail_reportf "q=%g: histogram %g, exact %g" q got exact;
+      true)
 
 (* --- metrics registry --------------------------------------------------- *)
 
@@ -391,6 +421,35 @@ let test_metrics_merge_is_sequential_sum =
           | _ | (exception Not_found) ->
               QCheck.Test.fail_reportf "histogram missing from snapshot"))
 
+(* qcheck: one histogram observed from several domains reads exactly as
+   one histogram fed every value on a single domain. *)
+let test_metrics_domains_merge_to_one =
+  QCheck.Test.make ~count:20 ~name:"histograms merged across domains = one"
+    QCheck.(
+      list_of_size
+        Gen.(1 -- 4)
+        (list_of_size Gen.(int_bound 300) (float_bound_exclusive 1e9)))
+    (fun per_domain ->
+      with_metrics @@ fun () ->
+      let spread = Obs.Metrics.histogram "t.md.spread" in
+      let one = Obs.Metrics.histogram "t.md.one" in
+      List.map
+        (fun xs ->
+          Domain.spawn (fun () -> List.iter (Obs.Metrics.observe spread) xs))
+        per_domain
+      |> List.iter Domain.join;
+      List.iter (List.iter (Obs.Metrics.observe one)) per_domain;
+      let snap = Obs.Metrics.snapshot () in
+      match (List.assoc "t.md.spread" snap, List.assoc "t.md.one" snap) with
+      | Obs.Metrics.Histogram a, Obs.Metrics.Histogram b ->
+          if a <> b then
+            QCheck.Test.fail_reportf
+              "domains: count=%d p50=%g p90=%g p99=%g; one: count=%d p50=%g \
+               p90=%g p99=%g"
+              a.count a.p50 a.p90 a.p99 b.count b.p50 b.p90 b.p99;
+          true
+      | _ -> QCheck.Test.fail_reportf "wrong kind in snapshot")
+
 (* --- trace recorder + validator ----------------------------------------- *)
 
 let test_trace_disabled_records_nothing () =
@@ -529,6 +588,7 @@ let () =
           q test_hist_merge_assoc;
           q test_hist_quantile_monotone;
           q test_hist_quantile_bounds;
+          q test_hist_quantile_precision;
         ] );
       ( "metrics",
         [
@@ -543,6 +603,7 @@ let () =
           Alcotest.test_case "json dump and reset" `Quick
             test_metrics_json_and_reset;
           q test_metrics_merge_is_sequential_sum;
+          q test_metrics_domains_merge_to_one;
         ] );
       ( "trace",
         [

@@ -1294,6 +1294,85 @@ let test_group_commit_recovery () =
   | _ -> Alcotest.fail "drain: unexpected response");
   Service.Client.close client
 
+(* Adaptive group commit: the commit interval bounds an ack's hold, it
+   is not a fixed wait.  A lone submission finds its shard's backlog
+   empty, so the commit that releases its ack runs at once — well under
+   the 50 ms interval — inline (1 shard) and on a worker domain (2). *)
+let submit_ms client ~org ~release =
+  let t0 = Unix.gettimeofday () in
+  let resp =
+    Harness.request client
+      (Service.Protocol.Submit
+         { org; user = 0; release; size = 1; cid = 0; cseq = 0; trace = 0 })
+  in
+  (resp, (Unix.gettimeofday () -. t0) *. 1000.)
+
+let test_group_commit_idle () =
+  let service =
+    mk_config ~groups:2 ~machines:[| 2; 2 |] ~horizon:100_000 ()
+  in
+  List.iter
+    (fun shards ->
+      let@ dir = Harness.with_tmpdir in
+      let state_dir = Filename.concat dir "state" in
+      let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
+      let@ _pid =
+        with_server ~state_dir ~shards ~commit_interval:0.05 ~service addr
+      in
+      let client = Harness.connect_retry addr in
+      let times =
+        List.init 5 (fun i ->
+            match submit_ms client ~org:(i land 1) ~release:(i + 1) with
+            | Service.Protocol.Submit_ok _, ms -> ms
+            | _ -> Alcotest.failf "shards=%d: submission %d not acked" shards i)
+        |> List.sort compare
+      in
+      let median = List.nth times 2 in
+      Alcotest.(check bool)
+        (Printf.sprintf "shards=%d: median ack %.2f ms, interval 50 ms" shards
+           median)
+        true (median < 25.);
+      Service.Client.close client)
+    [ 1; 2 ]
+
+(* A failed fsync under the idle rule: the batch it covered answers
+   wal-error at once, nothing in it is acked, and its records stay
+   pending until the next successful sync lands them with the next
+   batch — so a kill -9 after that ack loses neither.  (wal-fsync hit 1
+   is the segment header at boot; hit 2 is the first commit.) *)
+let test_group_commit_idle_sync_failure () =
+  let@ dir = Harness.with_tmpdir in
+  let state_dir = Filename.concat dir "state" in
+  let service = mk_config ~machines:[| 2; 2 |] ~horizon:100_000 () in
+  let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
+  (let@ pid =
+     with_server ~state_dir ~commit_interval:0.05 ~chaos:"eio@wal-fsync:2"
+       ~service addr
+   in
+   let client = Harness.connect_retry addr in
+   (match submit_ms client ~org:0 ~release:1 with
+   | Service.Protocol.Error { code = Service.Protocol.Wal_error; _ }, ms ->
+       Alcotest.(check bool)
+         (Printf.sprintf "wal-error answered by the idle commit (%.2f ms)" ms)
+         true (ms < 25.)
+   | Service.Protocol.Submit_ok _, _ ->
+       Alcotest.fail "acked a record whose fsync failed"
+   | _ -> Alcotest.fail "first submission: unexpected response");
+   (match submit_ms client ~org:1 ~release:2 with
+   | Service.Protocol.Submit_ok _, _ -> ()
+   | _ -> Alcotest.fail "the retried sync did not ack the next submission");
+   Service.Client.close client;
+   Unix.kill pid Sys.sigkill;
+   ignore (Unix.waitpid [] pid));
+  let@ _pid = with_server ~state_dir ~service addr in
+  let client = Harness.connect_retry addr in
+  (match Harness.request client Service.Protocol.Status with
+  | Service.Protocol.Status_ok st ->
+      Alcotest.(check int) "both records landed by the later sync" 2
+        st.Service.Protocol.accepted
+  | _ -> Alcotest.fail "status: unexpected response");
+  Service.Client.close client
+
 (* Fault isolation: a chaos plan targeting one segment's fsyncs
    (site prefix g1/) turns that group's submissions into wal-errors while
    the other group keeps acking — the blast radius of a sick WAL is one
@@ -1400,6 +1479,9 @@ let () =
           QCheck_alcotest.to_alcotest sharded_differential_qcheck;
           Alcotest.test_case "group-commit-recovery" `Quick
             test_group_commit_recovery;
+          Alcotest.test_case "group-commit-idle" `Quick test_group_commit_idle;
+          Alcotest.test_case "group-commit-idle-sync-failure" `Quick
+            test_group_commit_idle_sync_failure;
           Alcotest.test_case "chaos-isolation" `Quick
             test_shard_chaos_isolation;
         ] );
