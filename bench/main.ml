@@ -399,8 +399,8 @@ let ref_scaling ~ks ~horizon () =
        not speedup — rows are flagged@.     \"single_core\": true and the \
        speedup column is not meaningful here.@.@."
       par_workers;
-  Format.printf "  %-3s %-8s | %-10s %-10s %-8s %-9s@." "k" "horizon"
-    "seq (s)" "par (s)" "speedup" "identical";
+  Format.printf "  %-3s %-8s | %-10s %-10s %-8s %-9s | %-9s %-7s@." "k"
+    "horizon" "seq (s)" "par (s)" "speedup" "identical" "phi walks" "forced";
   let rows =
     List.map
       (fun k ->
@@ -426,12 +426,28 @@ let ref_scaling ~ks ~horizon () =
           && seq_r.Sim.Driver.parts = par_r.Sim.Driver.parts
         in
         let speedup = seq_s /. Stdlib.max 1e-9 par_s in
-        Format.printf "  %-3d %-8d | %-10.3f %-10.3f %-8.2f %-9b@." k horizon
-          seq_s par_s speedup identical;
+        (* Decision counts come from a third, untimed sequential run with
+           Obs.Metrics on: collection would perturb the timed runs. *)
+        let phi_walks, select_forced =
+          let walks = Obs.Metrics.counter "ref.phi_walks"
+          and forced = Obs.Metrics.counter "ref.select_forced" in
+          let w0 = Obs.Metrics.counter_value walks
+          and f0 = Obs.Metrics.counter_value forced in
+          let was = Obs.Metrics.enabled () in
+          Obs.Metrics.set_enabled true;
+          ignore (run 1);
+          Obs.Metrics.set_enabled was;
+          ( Obs.Metrics.counter_value walks - w0,
+            Obs.Metrics.counter_value forced - f0 )
+        in
+        let st = seq_r.Sim.Driver.stats in
+        Format.printf "  %-3d %-8d | %-10.3f %-10.3f %-8.2f %-9b | %-9d %.2f@."
+          k horizon seq_s par_s speedup identical phi_walks
+          (float_of_int select_forced
+          /. float_of_int (Stdlib.max 1 st.Kernel.Stats.starts));
         if not identical then
           Format.printf "  !! parallel REF diverged from sequential at k=%d@."
             k;
-        let st = seq_r.Sim.Driver.stats in
         Obs.Json.Obj
           [
             ("k", Obs.Json.Int k);
@@ -449,13 +465,16 @@ let ref_scaling ~ks ~horizon () =
             ("rounds", Obs.Json.Int st.Kernel.Stats.rounds);
             ("heap_pops", Obs.Json.Int st.Kernel.Stats.heap_pops);
             ("starts", Obs.Json.Int st.Kernel.Stats.starts);
+            ("phi_walks", Obs.Json.Int phi_walks);
+            ("select_forced", Obs.Json.Int select_forced);
           ])
       ks
   in
   record_json "ref_scaling" (Obs.Json.List rows);
   Format.printf
     "  (bit-identical utilities are asserted on every row; the speedup \
-     column@.   only means anything on a multi-core machine)@."
+     column@.   only means anything on a multi-core machine; forced = share \
+     of decisions@.   with one waiting organization, which walk no φ)@."
 
 (* --- E24: approximation tier (DESIGN.md §13) --------------------------- *)
 

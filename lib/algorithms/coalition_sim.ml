@@ -336,6 +336,7 @@ let epoch t = t.epoch
 let utility_scaled t ~org ~at = Utility.Tracker.value_scaled t.trackers.(org) ~at
 let pending t = t.pending
 let waiting_orgs t = Cluster.waiting_orgs t.cluster
+let sole_waiting t = Cluster.sole_waiting t.cluster
 let fifo_org t = Cluster.fifo_org t.cluster
 let has_waiting t = Cluster.has_waiting t.cluster
 let free_count t = Cluster.free_count t.cluster

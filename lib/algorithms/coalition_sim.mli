@@ -130,6 +130,9 @@ val pending : t -> Instant.t
 
 val waiting_orgs : t -> int list
 
+val sole_waiting : t -> int
+(** {!Core.Cluster.sole_waiting} of this simulator's cluster. *)
+
 val fifo_org : t -> int
 (** {!Core.Cluster.fifo_org} of this simulator's cluster: the waiting member
     with the earliest front release (ties: lowest id), allocation-free. *)

@@ -22,6 +22,11 @@ let m_vcache_misses = Obs.Metrics.counter "rand.vcache_misses"
    ε-guarantee, observable next to fair.estimator_budget in a scrape. *)
 let m_orders_sampled = Obs.Metrics.counter "rand.orders_sampled"
 
+(* Top-level decisions with one waiting organization, and the φ estimates
+   the contested ones needed (at most one per instant). *)
+let m_select_forced = Obs.Metrics.counter "rand.select_forced"
+let m_estimates = Obs.Metrics.counter "rand.estimates"
+
 let cached_v2 cs ~time =
   let e = Coalition_sim.epoch cs.sim in
   if cs.c_epoch = e then Obs.Metrics.incr m_vcache_hits
@@ -82,15 +87,26 @@ let make_policy ?(value_cache = true) ?guarantee ~name ~n instance ~rng =
   in
   publish_live_budget ();
   let pending = Instant.create ~norgs:k in
-  let phi_stamp = ref min_int in
-  let phi_memo = ref [||] in
-  let phi2 ~time =
-    if !phi_stamp <> time then begin
+  (* The sims advance on every decision, forced or not (deferring them to
+     the next contested decision would make that one pay for every skipped
+     event, DESIGN.md §8); the estimate only runs on contested ones.  Each
+     step is memoized per instant. *)
+  let advance_stamp = ref min_int in
+  let advance ~time =
+    if !advance_stamp <> time then begin
       Hashtbl.iter
         (fun _ cs ->
           Coalition_sim.advance_to cs.sim ~time
             ~select:Baselines.fifo_select_sim)
         sims;
+      advance_stamp := time
+    end
+  in
+  let phi_stamp = ref min_int in
+  let phi_memo = ref [||] in
+  let phi2 ~time =
+    if !phi_stamp <> time then begin
+      Obs.Metrics.incr m_estimates;
       let v2 mask =
         match Hashtbl.find_opt sims mask with
         | Some cs ->
@@ -124,8 +140,9 @@ let make_policy ?(value_cache = true) ?guarantee ~name ~n instance ~rng =
         | Federation.Event.Leave _ -> decr live_orgs
         | Federation.Event.Lend _ | Federation.Event.Reclaim _ -> ());
         publish_live_budget ();
-        (* The event can retire machines mid-instant; drop the φ memo so
-           the estimate re-derives after the sims replay it. *)
+        (* The event can retire machines mid-instant; drop both memos so
+           the sims replay it and the estimate re-derives. *)
+        advance_stamp := min_int;
         phi_stamp := min_int;
         Hashtbl.iter
           (fun _mask cs ->
@@ -135,18 +152,25 @@ let make_policy ?(value_cache = true) ?guarantee ~name ~n instance ~rng =
     ~on_start:(fun _view ~time p ->
       Instant.bump pending ~time ~org:p.Schedule.job.Job.org)
     ~select:(fun view ~time ->
-      let phi2 = phi2 ~time in
-      let score u =
-        phi2.(u)
-        -. float_of_int
-             (Policy.utility_plus_pending_scaled view ~pending ~org:u ~time)
-      in
-      match Cluster.waiting_orgs view.Policy.cluster with
-      | [] -> invalid_arg "rand: nothing waiting"
-      | first :: rest ->
-          List.fold_left
-            (fun best u -> if score u > score best then u else best)
-            first rest)
+      advance ~time;
+      let sole = Cluster.sole_waiting view.Policy.cluster in
+      if sole >= 0 then begin
+        Obs.Metrics.incr m_select_forced;
+        sole
+      end
+      else
+        let phi2 = phi2 ~time in
+        let score u =
+          phi2.(u)
+          -. float_of_int
+               (Policy.utility_plus_pending_scaled view ~pending ~org:u ~time)
+        in
+        match Cluster.waiting_orgs view.Policy.cluster with
+        | [] -> invalid_arg "rand: nothing waiting"
+        | first :: rest ->
+            List.fold_left
+              (fun best u -> if score u > score best then u else best)
+              first rest)
     ()
 
 let rand ?value_cache ~n instance ~rng =

@@ -25,11 +25,12 @@ type concept = Shapley_value | Banzhaf_value
      persistent pool in Core.Domain_pool; with [workers = 1] the same
      stages run inline and the engine is strictly sequential.
 
-   - the inner 3^k Shapley sum is allocation-free: weight tables are
-     hoisted into per-size float arrays at construction, popcounts come
-     from a precomputed table, and the subset walk runs over a preflattened
-     int array (for k <= 12; an inline submask walk beyond) instead of
-     closure-based iterators.
+   - the inner 3^k Shapley sum is allocation-free and only runs for
+     contested decisions (a lone waiting organization is a forced choice):
+     weight tables are hoisted into per-size float arrays at construction,
+     popcounts come from a precomputed table, and the subset walk runs
+     over a preflattened int array (for k <= 12; an inline submask walk
+     beyond), reading values from a dense array pinned beforehand.
 
    Outputs are bit-identical across worker counts: parallelism only spans
    sims that do not read each other's mutable state within an instant, and
@@ -239,21 +240,39 @@ let compute_v2 st sim ~mask ~time =
     ((st.vc_a.(mask) * time) + st.vc_b.(mask)) * time + st.vc_c.(mask)
   end
 
-(* 2·v(mask) at [time] for simulated masks; machine-less or empty masks are
-   identically 0.  During a parallel scheduling stage every simulated mask
-   has already been stamped at [time] (see [process_instant]), so this is a
-   pure read there; the lazy write path only runs on the owning domain. *)
-let v2_sim st ~mask ~time =
-  if mask = Coalition.empty then 0
-  else
+(* Pin 2·v of a simulated [mask] at [time] into [v2_val]: one stamp check
+   when already pinned.  Machine-less masks and the empty mask are never
+   written, so their [v2_val] stays at its constant 0.  During a parallel
+   scheduling stage every simulated mask has already been pinned at [time]
+   (see [process_instant]), so this writes nothing there; the lazy write
+   path only runs on the owning domain. *)
+let pin_v2 st ~mask ~time =
+  if st.v2_stamp.(mask) <> time then
     match st.sims.(mask) with
-    | None -> 0
+    | None -> ()
     | Some sim ->
-        if st.v2_stamp.(mask) <> time then begin
-          st.v2_val.(mask) <- compute_v2 st sim ~mask ~time;
-          st.v2_stamp.(mask) <- time
-        end;
-        st.v2_val.(mask)
+        st.v2_val.(mask) <- compute_v2 st sim ~mask ~time;
+        st.v2_stamp.(mask) <- time
+
+let v2_sim st ~mask ~time =
+  pin_v2 st ~mask ~time;
+  st.v2_val.(mask)
+
+(* One subset's marginal terms, members of [sub] ascending (like
+   Coalition.iter_members); every [sub] minus a member must be pinned. *)
+let add_marginals st phi w_tbl ~sub ~v_sub =
+  let w = w_tbl.(st.size_tbl.(sub) - 1) in
+  let rem = ref sub and u = ref 0 in
+  while !rem <> 0 do
+    if !rem land 1 <> 0 then
+      phi.(!u) <-
+        phi.(!u)
+        +. (w *. float_of_int (v_sub - st.v2_val.(sub land lnot (1 lsl !u))));
+    rem := !rem lsr 1;
+    incr u
+  done
+
+let m_phi_walks = Obs.Metrics.counter "ref.phi_walks"
 
 (* Shapley/Banzhaf contributions (×2) of the members of [mask], from the
    current sub-coalition values; [v2_top] supplies v2 of [mask] itself (for
@@ -262,38 +281,42 @@ let v2_sim st ~mask ~time =
    federated top-level computation, which runs over the live consortium but
    must not clobber that mask's own sim-side memo (their v2_top differ: the
    real cluster's value vs the what-if schedule's).
-   Allocation-free inner loop: one float array out, no closures per subset,
-   weights and popcounts from tables. *)
+   Two passes: pin every proper submask's value, then walk the subsets as
+   plain reads of the dense [v2_val] array, in the canonical order (the
+   mask itself, then the decreasing submask walk) so every float
+   accumulates exactly as a lazy per-read walk would.  Allocation-free:
+   one float array out, weights and popcounts from tables. *)
 let phi2_of st ~slot ~mask ~time ~v2_top =
+  Obs.Metrics.incr m_phi_walks;
   (* Preallocated per-mask scratch (construction time), zeroed and refilled
-     in place: the inner loop allocates nothing. *)
+     in place. *)
   let phi = st.phi2_val.(slot) in
   Array.fill phi 0 st.k 0.;
   let w_tbl = st.weights.(st.size_tbl.(mask)) in
-  let add_subset sub =
-    let w = w_tbl.(st.size_tbl.(sub) - 1) in
-    let v_sub = if sub = mask then v2_top else v2_sim st ~mask:sub ~time in
-    (* members of [sub] ascending, like Coalition.iter_members *)
-    let rem = ref sub and u = ref 0 in
-    while !rem <> 0 do
-      if !rem land 1 <> 0 then begin
-        let v_without = v2_sim st ~mask:(sub land lnot (1 lsl !u)) ~time in
-        phi.(!u) <- phi.(!u) +. (w *. float_of_int (v_sub - v_without))
-      end;
-      rem := !rem lsr 1;
-      incr u
-    done
-  in
   let subs = st.subsets_flat.(mask) in
-  if Array.length subs > 0 then
-    for i = 0 to Array.length subs - 1 do
-      add_subset subs.(i)
+  let n = Array.length subs in
+  if n > 0 then begin
+    (* subs.(0) is the mask itself *)
+    for i = 1 to n - 1 do
+      pin_v2 st ~mask:subs.(i) ~time
+    done;
+    add_marginals st phi w_tbl ~sub:mask ~v_sub:v2_top;
+    for i = 1 to n - 1 do
+      let sub = subs.(i) in
+      add_marginals st phi w_tbl ~sub ~v_sub:st.v2_val.(sub)
     done
+  end
   else begin
-    (* k > 12 fallback: same walk, same order, no table *)
-    let sub = ref mask in
+    (* k > 12: the same two passes over the inline submask walk *)
+    let sub = ref ((mask - 1) land mask) in
     while !sub <> 0 do
-      add_subset !sub;
+      pin_v2 st ~mask:!sub ~time;
+      sub := (!sub - 1) land mask
+    done;
+    add_marginals st phi w_tbl ~sub:mask ~v_sub:v2_top;
+    sub := (mask - 1) land mask;
+    while !sub <> 0 do
+      add_marginals st phi w_tbl ~sub:!sub ~v_sub:st.v2_val.(!sub);
       sub := (!sub - 1) land mask
     done
   end;
@@ -320,23 +343,34 @@ let phi2_cached st ?slot ~mask ~time ~v2_top () =
   end;
   st.phi2_val.(slot)
 
+let m_select_forced = Obs.Metrics.counter "ref.select_forced"
+
 (* Selection rule inside a simulated coalition: argmax (φ − ψ) among waiting
-   members, ψ evaluated with the pending (+1 per started part) convention. *)
+   members, ψ evaluated with the pending (+1 per started part) convention.
+   A lone waiting member is a forced choice and reads no value at all; since
+   a round's waiting set only shrinks, a round whose first pick is forced
+   never walks φ. *)
 let select_in_sim st ~mask sim ~time =
-  let phi2 = phi2_cached st ~mask ~time ~v2_top:(v2_sim st ~mask ~time) () in
-  let score u =
-    let psi2 =
-      Coalition_sim.utility_scaled sim ~org:u ~at:time
-      + (2 * Instant.get (Coalition_sim.pending sim) ~time ~org:u)
+  let sole = Coalition_sim.sole_waiting sim in
+  if sole >= 0 then begin
+    Obs.Metrics.incr m_select_forced;
+    sole
+  end
+  else
+    let phi2 = phi2_cached st ~mask ~time ~v2_top:(v2_sim st ~mask ~time) () in
+    let score u =
+      let psi2 =
+        Coalition_sim.utility_scaled sim ~org:u ~at:time
+        + (2 * Instant.get (Coalition_sim.pending sim) ~time ~org:u)
+      in
+      phi2.(u) -. float_of_int psi2
     in
-    phi2.(u) -. float_of_int psi2
-  in
-  match Coalition_sim.waiting_orgs sim with
-  | [] -> invalid_arg "reference: nothing waiting in sub-coalition"
-  | first :: rest ->
-      List.fold_left
-        (fun best u -> if score u > score best then u else best)
-        first rest
+    match Coalition_sim.waiting_orgs sim with
+    | [] -> invalid_arg "reference: nothing waiting in sub-coalition"
+    | first :: rest ->
+        List.fold_left
+          (fun best u -> if score u > score best then u else best)
+          first rest
 
 (* --- the global event heap ---------------------------------------------- *)
 
@@ -429,29 +463,29 @@ let process_instant st ~tau ~n_active =
     | None -> ()
   in
   iter ~chunk:(Some 1) ~cutoff:step_cutoff step n_active;
-  let need_round = ref false in
+  (* [need_round]: some sim can start a job.  [contested]: some sim can
+     start one with two or more members waiting — only such a round reads
+     coalition values (a forced pick reads none, and a round's waiting set
+     only shrinks). *)
+  let need_round = ref false and contested = ref false in
   for i = 0 to n_active - 1 do
     match st.sims.(active.(i)) with
     | Some sim ->
         if Coalition_sim.free_count sim > 0 && Coalition_sim.has_waiting sim
-        then need_round := true
+        then begin
+          need_round := true;
+          if Coalition_sim.sole_waiting sim < 0 then contested := true
+        end
     | None -> ()
   done;
   if !need_round then begin
-    (* Stage 2 (parallel engine only): pin 2·v of every sub-coalition at
-       [tau] before any round runs, so the parallel rounds below only read
-       the v2 cache.  Values are frozen within the instant either way; the
-       sequential engine keeps the lazy per-read path. *)
-    if par then begin
-      let refresh i =
-        let mask = st.all_masks.(i) in
-        if st.v2_stamp.(mask) <> tau then begin
-          (match st.sims.(mask) with
-          | Some sim -> st.v2_val.(mask) <- compute_v2 st sim ~mask ~time:tau
-          | None -> ());
-          st.v2_stamp.(mask) <- tau
-        end
-      in
+    (* Stage 2 (parallel engine only, contested rounds only): pin 2·v of
+       every sub-coalition at [tau] before any round runs, so the parallel
+       rounds below only read the v2 cache.  Values are frozen within the
+       instant either way; the sequential engine keeps the lazy per-read
+       path. *)
+    if par && !contested then begin
+      let refresh i = pin_v2 st ~mask:st.all_masks.(i) ~time:tau in
       let run_refresh () =
         iter ~chunk:None ~cutoff:refresh_cutoff refresh
           (Array.length st.all_masks)
@@ -622,21 +656,30 @@ let make_with_internals ?(name = "ref") ?concept ?workers ?max_restarts
                | None -> acc)
              [ st.own_stats ] st.all_masks))
       ~select:(fun view ~time ->
+        (* The sims advance on every decision, forced or not: deferring
+           them would make the next contested decision pay for every
+           skipped event (DESIGN.md §8). *)
         advance_all st ~time;
-        let phi2 = top_phi2 st ~view ~time in
-        let score u =
-          let psi2 =
-            Policy.utility_plus_pending_scaled view ~pending:st.pending
-              ~org:u ~time
+        let sole = Cluster.sole_waiting view.Policy.cluster in
+        if sole >= 0 then begin
+          Obs.Metrics.incr m_select_forced;
+          sole
+        end
+        else
+          let phi2 = top_phi2 st ~view ~time in
+          let score u =
+            let psi2 =
+              Policy.utility_plus_pending_scaled view ~pending:st.pending
+                ~org:u ~time
+            in
+            phi2.(u) -. float_of_int psi2
           in
-          phi2.(u) -. float_of_int psi2
-        in
-        match Cluster.waiting_orgs view.Policy.cluster with
-        | [] -> invalid_arg "reference: nothing waiting"
-        | first :: rest ->
-            List.fold_left
-              (fun best u -> if score u > score best then u else best)
-              first rest)
+          match Cluster.waiting_orgs view.Policy.cluster with
+          | [] -> invalid_arg "reference: nothing waiting"
+          | first :: rest ->
+              List.fold_left
+                (fun best u -> if score u > score best then u else best)
+                first rest)
       ()
   in
   (policy, st)

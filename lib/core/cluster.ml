@@ -170,6 +170,19 @@ let waiting_orgs t =
   in
   go (t.norgs - 1) []
 
+(* Allocation-free: stops at the second waiting organization. *)
+let sole_waiting t =
+  let rec go u found =
+    if u >= t.norgs then found
+    else if
+      (not t.active.(u))
+      || (Queue.is_empty t.queues.(u) && t.resubmitted.(u) = [])
+    then go (u + 1) found
+    else if found >= 0 then -1
+    else go (u + 1) u
+  in
+  go 0 (-1)
+
 (* Single allocation-free scan: earliest front release wins, the lowest org
    on ties (strict [<] over ascending orgs).  Releases are non-negative
    (Job.make), so -1 marks an org with nothing waiting. *)

@@ -78,6 +78,11 @@ val has_waiting : t -> bool
 val waiting_orgs : t -> int list
 (** Organizations with a non-empty queue, ascending. *)
 
+val sole_waiting : t -> int
+(** The only organization with a non-empty queue, or [-1] when none or
+    several have one — a forced choice for any selection rule, detected
+    without allocating. *)
+
 val fifo_org : t -> int
 (** The waiting organization whose front job was released earliest (ties:
     lowest organization id) — the FIFO rule, in one allocation-free scan.

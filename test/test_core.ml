@@ -182,13 +182,19 @@ let test_cluster_flow () =
   Alcotest.(check int) "machines" 3 (Cluster.machines c);
   Alcotest.(check int) "free" 3 (Cluster.free_count c);
   Alcotest.(check bool) "nothing waiting" false (Cluster.has_waiting c);
+  Alcotest.(check int) "no sole waiter" (-1) (Cluster.sole_waiting c);
   let j1 = job ~org:0 ~index:0 ~size:4 () in
   let j2 = job ~org:0 ~index:1 ~size:2 () in
   let j3 = job ~org:1 ~index:0 ~size:3 () in
   Cluster.release c j1;
   Cluster.release c j2;
+  Alcotest.(check int) "sole waiter" 0 (Cluster.sole_waiting c);
   Cluster.release c j3;
   Alcotest.(check (list int)) "waiting orgs" [ 0; 1 ] (Cluster.waiting_orgs c);
+  Alcotest.(check int) "two waiters" (-1) (Cluster.sole_waiting c);
+  Cluster.suspend_org c 0;
+  Alcotest.(check int) "suspended org skipped" 1 (Cluster.sole_waiting c);
+  Cluster.resume_org c 0;
   Alcotest.(check int) "queue length" 2 (Cluster.waiting_count c 0);
   let p1 = Cluster.start_front c ~org:0 ~time:0 () in
   Alcotest.(check bool) "front is FIFO" true (Job.equal p1.Schedule.job j1);
