@@ -384,7 +384,9 @@ let preemption ~instances () =
 
 (* --- E23: sequential vs parallel REF ----------------------------------- *)
 
-let ref_scaling ~ks ~horizon () =
+(* [rows]: (k, horizon) pairs — the horizon shrinks as k grows so every
+   row's three runs stay within seconds. *)
+let ref_scaling ~rows () =
   section "ref_scaling — sequential vs domain-parallel REF wall-clock";
   let cores = Domain.recommended_domain_count () in
   let single_core = cores < 2 in
@@ -403,7 +405,7 @@ let ref_scaling ~ks ~horizon () =
     "horizon" "seq (s)" "par (s)" "speedup" "identical" "phi walks" "forced";
   let rows =
     List.map
-      (fun k ->
+      (fun (k, horizon) ->
         let instance =
           Workload.Scenario.instance
             (Workload.Scenario.default ~norgs:k ~machines ~horizon
@@ -468,7 +470,7 @@ let ref_scaling ~ks ~horizon () =
             ("phi_walks", Obs.Json.Int phi_walks);
             ("select_forced", Obs.Json.Int select_forced);
           ])
-      ks
+      rows
   in
   record_json "ref_scaling" (Obs.Json.List rows);
   Format.printf
@@ -870,7 +872,7 @@ let () =
       (* Tiny ref_scaling plus a strict 2-group daemon saturation row: the
          `dune build @bench-smoke` alias. *)
       [
-        ("ref_scaling", ref_scaling ~ks:[ 4 ] ~horizon:4_000);
+        ("ref_scaling", ref_scaling ~rows:[ (4, 4_000) ]);
         ( "service_scaling",
           service_scaling ~strict:true ~serve_exe ~shard_counts:[ 1; 2 ]
             ~conn_counts:[ 2 ] ~groups:2 ~count:600 );
@@ -913,8 +915,16 @@ let () =
         ("preemption", preemption ~instances:(if quick then 2 else 8));
         ( "ref_scaling",
           ref_scaling
-            ~ks:(if quick then [ 4; 6 ] else [ 4; 6; 8 ])
-            ~horizon:(if quick then 10_000 else 20_000) );
+            ~rows:
+              (if quick then [ (4, 10_000); (6, 10_000) ]
+               else
+                 [
+                   (4, 20_000);
+                   (6, 20_000);
+                   (8, 20_000);
+                   (12, 8_000);
+                   (14, 1_500);
+                 ]) );
         ( "approx",
           approx ~strict:false
             ~audit_ks:(if quick then [ 4; 5 ] else [ 4; 5; 6; 8 ])

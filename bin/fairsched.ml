@@ -346,30 +346,16 @@ let simulate_cmd =
             "Kill budget per job under faults: after N restarts a killed \
              job is abandoned (default: unbounded).")
   in
-  let run model algo estimator no_value_cache norgs machines horizon seed
-      workers gantt fault_spec fault_script federation_spec max_restarts trace
+  let run model algo estimator norgs machines horizon seed workers gantt fault_spec fault_script federation_spec max_restarts trace
       metrics =
     (match max_restarts with
     | Some r when r < 0 -> die "--max-restarts must be >= 0"
     | Some _ | None -> ());
     let algo = resolve_estimator ~algo estimator in
     let maker =
-      if no_value_cache then
-        (* The cache toggle needs a maker built with [value_cache:false];
-           only the estimator-backed algorithms (ref / rand tiers) have
-           one. *)
-        match Algorithms.Estimator.of_string algo with
-        | Ok e -> Algorithms.Estimator.maker ~value_cache:false e
-        | Error _ ->
-            die
-              "--no-value-cache only applies to the ref/rand estimators, \
-               not %S"
-              algo
-      else
-        match Algorithms.Registry.find algo with
-        | Some maker -> maker
-        | None ->
-            die "unknown algorithm %S (see `fairsched algorithms`)" algo
+      match Algorithms.Registry.find algo with
+      | Some maker -> maker
+      | None -> die "unknown algorithm %S (see `fairsched algorithms`)" algo
     in
     with_obs ~trace ~metrics @@ fun () ->
     let body () =
@@ -411,21 +397,11 @@ let simulate_cmd =
     in
     body ()
   in
-  let no_value_cache_arg =
-    Arg.(
-      value & flag
-      & info [ "no-value-cache" ]
-          ~doc:
-            "Disable the cross-instant coalition-value cache (DESIGN.md \
-             §13).  Schedules are bit-identical with or without it; the \
-             flag exists for benchmarking and for the differential tests.  \
-             Only meaningful for the ref/rand estimators.")
-  in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run one algorithm on one synthetic scenario.")
     Term.(
-      const run $ model_arg $ algo_arg $ estimator_arg $ no_value_cache_arg
-      $ norgs_arg $ machines_arg $ horizon_arg 50_000 $ seed_arg $ workers_arg
+      const run $ model_arg $ algo_arg $ estimator_arg $ norgs_arg
+      $ machines_arg $ horizon_arg 50_000 $ seed_arg $ workers_arg
       $ gantt_arg $ faults_arg $ faults_script_arg $ federation_arg
       $ max_restarts_arg $ trace_arg $ metrics_arg)
 
@@ -1554,8 +1530,8 @@ let top_cmd =
         ];
       let estimator_row =
         [
-          ("vcache hits", "rand.vcache_hits");
-          ("vcache misses", "rand.vcache_misses");
+          ("estimates", "rand.estimates");
+          ("forced", "rand.select_forced");
           ("orders sampled", "rand.orders_sampled");
         ]
       in

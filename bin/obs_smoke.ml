@@ -12,7 +12,7 @@
       (per-org ψ/p gauges, per-group max-drift and estimator ε-budget),
       the consortium membership gauges (fed.orgs_active, per-group
       fed.machines_lent_g<g>), the service counters, and the estimator's
-      value-cache counters;
+      decision counters (estimates, forced choices);
    4. run the in-tree `validate-trace` over the merged Chrome trace and
       check it contains spans from the router lane and from EVERY shard
       worker lane, plus client-issued trace ids on routed requests;
@@ -52,14 +52,14 @@ let check_metrics ~orgs ~shard_groups metrics =
   require ~positive:true "service.acks_total";
   require ~positive:true "service.fsync_total";
   require ~positive:true "service.fsync_us";
-  (* The live estimator (rand-4) folds coalition values through its
-     cross-instant cache on every scheduling instant. *)
+  (* Every live decision of the estimator (rand-4) is either forced (one
+     waiting organization) or runs a φ estimate. *)
   (match
-     (number_of metrics "rand.vcache_hits", number_of metrics "rand.vcache_misses")
+     (number_of metrics "rand.estimates", number_of metrics "rand.select_forced")
    with
-  | Some h, Some m when h +. m > 0. -> ()
-  | Some _, Some _ -> fail "metrics: rand value cache never consulted"
-  | _ -> fail "metrics: rand.vcache_{hits,misses} missing");
+  | Some e, Some f when e +. f > 0. -> ()
+  | Some _, Some _ -> fail "metrics: rand estimator never decided"
+  | _ -> fail "metrics: rand.{estimates,select_forced} missing");
   require ~positive:true "rand.orders_sampled";
   (* Fairness SLO instruments: ψ and executed-parts gauges for every org,
      drift and ε-budget for every group. *)

@@ -9,12 +9,13 @@ type t = {
          is never written (only members' jobs enter the sim) *)
   (* The coalition value 2·v(C, t) = a·t² + b·t + c between state changes:
      the sum of the members' tracker polynomials, updated on every path
-     that changes a member's tracker, with [epoch] counting those
-     changes (DESIGN.md §13). *)
+     that changes a member's tracker (DESIGN.md §13). *)
   mutable poly_a : int;
   mutable poly_b : int;
   mutable poly_c : int;
-  mutable epoch : int;
+  mutable latest_start : int;
+      (* max start of any member piece, min_int before the first: value
+         reads before it would miscount a running piece *)
   local_of_global : int array;  (* global machine id -> local id, or -1 *)
   (* Federated mode: the sim hosts the full global machine universe under
      identity ids and replays the endowment stream against its own
@@ -42,14 +43,14 @@ let unfold t tr =
 let refold t tr =
   t.poly_a <- t.poly_a + Utility.Tracker.coeff_a tr;
   t.poly_b <- t.poly_b + Utility.Tracker.coeff_b tr;
-  t.poly_c <- t.poly_c + Utility.Tracker.coeff_c tr;
-  t.epoch <- t.epoch + 1
+  t.poly_c <- t.poly_c + Utility.Tracker.coeff_c tr
 
 let track_start t ~org ~key ~start =
   let tr = t.trackers.(org) in
   unfold t tr;
   Utility.Tracker.on_start tr ~key ~start;
-  refold t tr
+  refold t tr;
+  if start > t.latest_start then t.latest_start <- start
 
 let track_complete (t : t) (c : Cluster.completion) =
   let tr = t.trackers.(c.Cluster.job.Job.org) in
@@ -203,7 +204,7 @@ let create ?max_restarts ?(federated = false) ~instance ~members () =
       poly_a = 0;
       poly_b = 0;
       poly_c = 0;
-      epoch = 0;
+      latest_start = min_int;
       local_of_global;
       ownership =
         (if federated then
@@ -324,14 +325,17 @@ let advance_to t ~time ~select =
   Kernel.Engine.advance_to t.engine t.model ~time
 
 let value_scaled t ~at =
+  assert (at >= t.latest_start);
+  (((t.poly_a * at) + t.poly_b) * at) + t.poly_c
+
+let value_scaled_fold t ~at =
   Shapley.Coalition.fold
-    (fun u acc -> acc + Utility.Tracker.value_scaled t.trackers.(u) ~at)
+    (fun u acc -> acc + Utility.Tracker.value_scaled_fold t.trackers.(u) ~at)
     t.members 0
 
 let coeff_a t = t.poly_a
 let coeff_b t = t.poly_b
 let coeff_c t = t.poly_c
-let epoch t = t.epoch
 
 let utility_scaled t ~org ~at = Utility.Tracker.value_scaled t.trackers.(org) ~at
 let pending t = t.pending
@@ -340,8 +344,3 @@ let sole_waiting t = Cluster.sole_waiting t.cluster
 let fifo_org t = Cluster.fifo_org t.cluster
 let has_waiting t = Cluster.has_waiting t.cluster
 let free_count t = Cluster.free_count t.cluster
-
-let completed_parts t ~at =
-  Shapley.Coalition.fold
-    (fun u acc -> acc + Utility.Tracker.parts t.trackers.(u) ~at)
-    t.members 0

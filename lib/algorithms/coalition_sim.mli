@@ -102,9 +102,16 @@ val schedule_round : t -> time:int -> select:(t -> time:int -> int) -> unit
 (** {2 Values} *)
 
 val value_scaled : t -> at:int -> int
-(** [2·v(C, at)]: twice the coalition's total ψsp.  [at] must be [>= now]
-    and at most [now]'s next completion instant for exactness; REF and RAND
-    query at the current round instant. *)
+(** [2·v(C, at)]: twice the coalition's total ψsp, evaluated as the
+    polynomial [a·at² + b·at + c] of {!coeff_a}/{!coeff_b}/{!coeff_c} —
+    O(1), allocation-free.  [at] must be [>= now] and at most [now]'s next
+    completion instant for exactness; REF and RAND query at the current
+    round instant.  [at] at or after the latest start is asserted. *)
+
+val value_scaled_fold : t -> at:int -> int
+(** {!value_scaled} as the sum of the members'
+    {!Utility.Tracker.value_scaled_fold} (O(members × running jobs)): the
+    independent computation the polynomial is tested against. *)
 
 val utility_scaled : t -> org:int -> at:int -> int
 (** [2·ψsp(org)] within this coalition's schedule. *)
@@ -116,14 +123,7 @@ val coeff_c : t -> int
     [at] at or after this simulator's latest event — the coalition value
     between state changes is an exact integer polynomial in time.  The
     simulator keeps this aggregate up to date on every start, completion
-    and kill, so reading it is O(1) and allocates nothing.  Valid until
-    {!epoch} changes. *)
-
-val epoch : t -> int
-(** Monotone counter of tracker state changes (starts, completions, kills)
-    inside this simulator, kept as one per-simulator field.  An unchanged
-    epoch guarantees the coefficients are still valid: the basis of the
-    cross-instant coalition-value cache (DESIGN.md §13). *)
+    and kill, so reading it is O(1) and allocates nothing. *)
 
 val pending : t -> Instant.t
 (** Started-this-instant counters (the selection convention). *)
@@ -139,5 +139,3 @@ val fifo_org : t -> int
 
 val has_waiting : t -> bool
 val free_count : t -> int
-val completed_parts : t -> at:int -> int
-(** Executed unit parts across members (RAND's [finPerCoal]). *)

@@ -63,15 +63,12 @@ let sample_count t ~players =
   | Sampled { epsilon; confidence } ->
       Some (Shapley.Sample.sample_count ~players ~epsilon ~confidence)
 
-let maker ?workers ?value_cache = function
-  | Exact -> Reference.make ?workers ?value_cache ()
-  | Fixed n -> Rand.rand ?value_cache ~n
+let maker ?workers = function
+  | Exact -> Reference.make ?workers ()
+  | Fixed n -> Rand.rand ~n
   | Sampled { epsilon; confidence } ->
       fun instance ~rng ->
-        let p =
-          Rand.rand_with_guarantee ?value_cache ~epsilon ~confidence instance
-            ~rng
-        in
+        let p = Rand.rand_with_guarantee ~epsilon ~confidence instance ~rng in
         (* Keep the registry-resolvable spec as the policy name so service
            configs round-trip through the WAL unchanged (rand_with_guarantee
            bakes the resolved sample count into its name). *)

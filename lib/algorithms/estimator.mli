@@ -44,7 +44,7 @@ val sample_count : t -> players:int -> int option
     this is Theorem 5.6's [⌈k²/ε² · ln(k/(1−λ))⌉], which gets large fast —
     surface it to the user before launching a run. *)
 
-val maker : ?workers:int -> ?value_cache:bool -> t -> Policy.maker
+val maker : ?workers:int -> t -> Policy.maker
 (** The policy implementing the spec: {!Reference.make} for [Exact] (where
     [workers] applies), {!Rand.rand} / {!Rand.rand_with_guarantee}
     otherwise.  A [Sampled] policy is renamed to the stable spec string so

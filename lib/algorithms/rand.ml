@@ -2,22 +2,6 @@
 open Core
 module Coalition = Shapley.Coalition
 
-(* Same cross-instant coalition-value cache as REF (DESIGN.md §13): between
-   two events of a sim its value 2·v(t) is an exact integer polynomial, so a
-   query at a new instant only re-reads the sim's coefficients (O(1)) when
-   the sim's epoch moved — otherwise it evaluates the cached ones,
-   bit-identically. *)
-type cached_sim = {
-  sim : Coalition_sim.t;
-  mutable c_epoch : int;  (* epoch at extraction; min_int = never *)
-  mutable c_a : int;
-  mutable c_b : int;
-  mutable c_c : int;
-}
-
-let m_vcache_hits = Obs.Metrics.counter "rand.vcache_hits"
-let m_vcache_misses = Obs.Metrics.counter "rand.vcache_misses"
-
 (* How many joining orders each live sampled policy drew — the n of its
    ε-guarantee, observable next to fair.estimator_budget in a scrape. *)
 let m_orders_sampled = Obs.Metrics.counter "rand.orders_sampled"
@@ -26,18 +10,6 @@ let m_orders_sampled = Obs.Metrics.counter "rand.orders_sampled"
    the contested ones needed (at most one per instant). *)
 let m_select_forced = Obs.Metrics.counter "rand.select_forced"
 let m_estimates = Obs.Metrics.counter "rand.estimates"
-
-let cached_v2 cs ~time =
-  let e = Coalition_sim.epoch cs.sim in
-  if cs.c_epoch = e then Obs.Metrics.incr m_vcache_hits
-  else begin
-    Obs.Metrics.incr m_vcache_misses;
-    cs.c_a <- Coalition_sim.coeff_a cs.sim;
-    cs.c_b <- Coalition_sim.coeff_b cs.sim;
-    cs.c_c <- Coalition_sim.coeff_c cs.sim;
-    cs.c_epoch <- e
-  end;
-  ((cs.c_a * time) + cs.c_b) * time + cs.c_c
 
 (* Live FPRAS budget under endowment churn: n joining orders over the
    construction-time player count k.  Orgs can only leave and rejoin, never
@@ -48,7 +20,7 @@ let cached_v2 cs ~time =
    would need next to the planned one. *)
 let m_live_budget = Obs.Metrics.gauge "rand.live_budget"
 
-let make_policy ?(value_cache = true) ?guarantee ~name ~n instance ~rng =
+let make_policy ?guarantee ~name ~n instance ~rng =
   let rng = Fstats.Rng.split rng in
   let k = Instance.organizations instance in
   let federated = Federation.Mode.enabled () in
@@ -62,18 +34,12 @@ let make_policy ?(value_cache = true) ?guarantee ~name ~n instance ~rng =
      machine-less coalition has value 0 and needs no simulation; under
      endowment churn any coalition can be lent machines later, so every
      distinct sampled mask gets a (federated) simulator. *)
-  let sims : (Coalition.t, cached_sim) Hashtbl.t = Hashtbl.create 64 in
+  let sims : (Coalition.t, Coalition_sim.t) Hashtbl.t = Hashtbl.create 64 in
   Array.iter
     (fun mask ->
       if mask <> Coalition.empty && (federated || has_machines mask) then
         Hashtbl.replace sims mask
-          {
-            sim = Coalition_sim.create ~federated ~instance ~members:mask ();
-            c_epoch = min_int;
-            c_a = 0;
-            c_b = 0;
-            c_c = 0;
-          })
+          (Coalition_sim.create ~federated ~instance ~members:mask ()))
     plan.Shapley.Sample.distinct;
   let live_orgs = ref k in
   let publish_live_budget () =
@@ -95,9 +61,8 @@ let make_policy ?(value_cache = true) ?guarantee ~name ~n instance ~rng =
   let advance ~time =
     if !advance_stamp <> time then begin
       Hashtbl.iter
-        (fun _ cs ->
-          Coalition_sim.advance_to cs.sim ~time
-            ~select:Baselines.fifo_select_sim)
+        (fun _ sim ->
+          Coalition_sim.advance_to sim ~time ~select:Baselines.fifo_select_sim)
         sims;
       advance_stamp := time
     end
@@ -109,10 +74,7 @@ let make_policy ?(value_cache = true) ?guarantee ~name ~n instance ~rng =
       Obs.Metrics.incr m_estimates;
       let v2 mask =
         match Hashtbl.find_opt sims mask with
-        | Some cs ->
-            float_of_int
-              (if value_cache then cached_v2 cs ~time
-               else Coalition_sim.value_scaled cs.sim ~at:time)
+        | Some sim -> float_of_int (Coalition_sim.value_scaled sim ~at:time)
         | None -> 0.
       in
       phi_memo := Shapley.Sample.estimate_from_plan plan ~value:v2;
@@ -123,15 +85,15 @@ let make_policy ?(value_cache = true) ?guarantee ~name ~n instance ~rng =
   Policy.make ~name
     ~on_release:(fun _view ~time:_ job ->
       Hashtbl.iter
-        (fun mask cs ->
+        (fun mask sim ->
           if Coalition.mem mask job.Job.org then
-            Coalition_sim.add_release cs.sim job)
+            Coalition_sim.add_release sim job)
         sims)
     ~on_fault:(fun _view ~time event ->
       (* Coalition_sim drops events for machines its members do not own. *)
       Hashtbl.iter
-        (fun _mask cs ->
-          Coalition_sim.add_fault cs.sim { Faults.Event.time; event })
+        (fun _mask sim ->
+          Coalition_sim.add_fault sim { Faults.Event.time; event })
         sims)
     ~on_endow:(fun _view ~time event ->
       if federated then begin
@@ -145,8 +107,8 @@ let make_policy ?(value_cache = true) ?guarantee ~name ~n instance ~rng =
         advance_stamp := min_int;
         phi_stamp := min_int;
         Hashtbl.iter
-          (fun _mask cs ->
-            Coalition_sim.add_endow cs.sim { Federation.Event.time; event })
+          (fun _mask sim ->
+            Coalition_sim.add_endow sim { Federation.Event.time; event })
           sims
       end)
     ~on_start:(fun _view ~time p ->
@@ -173,16 +135,16 @@ let make_policy ?(value_cache = true) ?guarantee ~name ~n instance ~rng =
               first rest)
     ()
 
-let rand ?value_cache ~n instance ~rng =
+let rand ~n instance ~rng =
   if n < 1 then invalid_arg "Rand.rand: n < 1";
-  make_policy ?value_cache ~name:(Printf.sprintf "rand-%d" n) ~n instance ~rng
+  make_policy ~name:(Printf.sprintf "rand-%d" n) ~n instance ~rng
 
 let rand15 instance ~rng = rand ~n:15 instance ~rng
 let rand75 instance ~rng = rand ~n:75 instance ~rng
 
-let rand_with_guarantee ?value_cache ~epsilon ~confidence instance ~rng =
+let rand_with_guarantee ~epsilon ~confidence instance ~rng =
   let k = Instance.organizations instance in
   let n = Shapley.Sample.sample_count ~players:k ~epsilon ~confidence in
-  make_policy ?value_cache ~guarantee:(epsilon, confidence)
+  make_policy ~guarantee:(epsilon, confidence)
     ~name:(Printf.sprintf "rand-fpras-%d" n)
     ~n instance ~rng

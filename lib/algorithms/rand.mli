@@ -13,15 +13,13 @@
     For workloads with arbitrary job sizes this is the paper's RAND
     {e heuristic} (evaluated with N = 15 and N = 75 in Tables 1–2). *)
 
-val rand : ?value_cache:bool -> n:int -> Policy.maker
-(** N sampled orders; the policy is named ["rand-N"].  [value_cache]
-    (default [true]) enables the cross-instant coalition-value cache
-    (DESIGN.md §13) — bit-identical on or off, counters
-    [rand.vcache_hits]/[rand.vcache_misses] in {!Obs.Metrics}. *)
+val rand : n:int -> Policy.maker
+(** N sampled orders; the policy is named ["rand-N"].  A sampled
+    coalition's value is read from its simulator's O(1) polynomial
+    ({!Coalition_sim.value_scaled}, DESIGN.md §13). *)
 
 val rand15 : Policy.maker
 val rand75 : Policy.maker
 
-val rand_with_guarantee :
-  ?value_cache:bool -> epsilon:float -> confidence:float -> Policy.maker
+val rand_with_guarantee : epsilon:float -> confidence:float -> Policy.maker
 (** N from the Hoeffding bound of Theorem 5.6 (can be large: k²/ε²·ln(k/(1−λ))). *)

@@ -40,7 +40,6 @@ type internals = {
   concept : concept;
   k : int;
   workers : int;
-  vc_on : bool;  (* cross-instant coalition-value cache enabled *)
   federated : bool;
       (* endowment churn in play (Federation.Mode at construction): sims
          exist for every mask, events are broadcast, and the top-level value
@@ -70,13 +69,6 @@ type internals = {
          inline" (k > 12, where 3^k ints would not be worth the memory) *)
   v2_val : int array;
   v2_stamp : int array;  (* instant at which v2_val was computed *)
-  vc_a : int array;  (* cached coalition-value polynomial 2·v(t) = a·t²+b·t+c *)
-  vc_b : int array;
-  vc_c : int array;
-  vc_epoch : int array;
-      (* Coalition_sim epoch at which the polynomial was extracted; min_int
-         = never.  Unchanged epoch ⇒ the sim had no event since, so the
-         cached coefficients are still exact (DESIGN.md §13). *)
   phi2_val : float array array;
       (* preallocated per simulated mask (and the grand coalition) at
          construction and filled in place — no per-instant allocation *)
@@ -97,7 +89,7 @@ type internals = {
 }
 
 let create_internals ?(concept = Shapley_value) ?workers ?max_restarts
-    ?(value_cache = true) instance =
+    instance =
   let workers =
     match workers with
     | Some w -> Stdlib.max 1 w
@@ -188,7 +180,6 @@ let create_internals ?(concept = Shapley_value) ?workers ?max_restarts
     concept;
     k;
     workers;
-    vc_on = value_cache;
     federated;
     consortium = grand;
     grand;
@@ -201,10 +192,6 @@ let create_internals ?(concept = Shapley_value) ?workers ?max_restarts
     m_owner;
     v2_val = Array.make nmasks 0;
     v2_stamp = Array.make nmasks min_int;
-    vc_a = Array.make nmasks 0;
-    vc_b = Array.make nmasks 0;
-    vc_c = Array.make nmasks 0;
-    vc_epoch = Array.make nmasks min_int;
     phi2_val;
     phi2_stamp = Array.make nmasks min_int;
     heap = Heap.create ();
@@ -216,42 +203,19 @@ let create_internals ?(concept = Shapley_value) ?workers ?max_restarts
     own_stats = Kernel.Stats.create ();
   }
 
-(* Cross-instant coalition-value cache: between two events of a sim its
-   2·v(t) is an exact integer polynomial a·t² + b·t + c (Coalition_sim's
-   coefficients); re-reading them is only needed when the sim's epoch moved.
-   Hit = polynomial evaluation, miss = three field reads (O(1)) — either way
-   bit-identical to Coalition_sim.value_scaled, the direct tracker fold the
-   cache-off path runs. *)
-let m_vcache_hits = Obs.Metrics.counter "ref.vcache_hits"
-let m_vcache_misses = Obs.Metrics.counter "ref.vcache_misses"
-
-let compute_v2 st sim ~mask ~time =
-  if not st.vc_on then Coalition_sim.value_scaled sim ~at:time
-  else begin
-    let e = Coalition_sim.epoch sim in
-    if st.vc_epoch.(mask) = e then Obs.Metrics.incr m_vcache_hits
-    else begin
-      Obs.Metrics.incr m_vcache_misses;
-      st.vc_a.(mask) <- Coalition_sim.coeff_a sim;
-      st.vc_b.(mask) <- Coalition_sim.coeff_b sim;
-      st.vc_c.(mask) <- Coalition_sim.coeff_c sim;
-      st.vc_epoch.(mask) <- e
-    end;
-    ((st.vc_a.(mask) * time) + st.vc_b.(mask)) * time + st.vc_c.(mask)
-  end
-
-(* Pin 2·v of a simulated [mask] at [time] into [v2_val]: one stamp check
-   when already pinned.  Machine-less masks and the empty mask are never
-   written, so their [v2_val] stays at its constant 0.  During a parallel
-   scheduling stage every simulated mask has already been pinned at [time]
-   (see [process_instant]), so this writes nothing there; the lazy write
-   path only runs on the owning domain. *)
+(* Pin 2·v of a simulated [mask] at [time] into [v2_val]: the sim's O(1)
+   value polynomial (DESIGN.md §13), one stamp check when already pinned.
+   Machine-less masks and the empty mask are never written, so their
+   [v2_val] stays at its constant 0.  During a parallel scheduling stage
+   every simulated mask has already been pinned at [time] (see
+   [process_instant]), so this writes nothing there; the lazy write path
+   only runs on the owning domain. *)
 let pin_v2 st ~mask ~time =
   if st.v2_stamp.(mask) <> time then
     match st.sims.(mask) with
     | None -> ()
     | Some sim ->
-        st.v2_val.(mask) <- compute_v2 st sim ~mask ~time;
+        st.v2_val.(mask) <- Coalition_sim.value_scaled sim ~at:time;
         st.v2_stamp.(mask) <- time
 
 let v2_sim st ~mask ~time =
@@ -438,7 +402,7 @@ let gather st ~tau =
    run inline on the calling domain — waking a pool helper costs more than
    the stage itself.  Scheduling-round tasks are heavyweight (a 3^s subset
    walk each) so even a handful are worth dispatching; event-step tasks are
-   moderate; refresh tasks are one cache lookup + polynomial evaluation, so
+   moderate; refresh tasks are one polynomial evaluation each, so
    only large refresh sweeps leave the calling domain, claimed in chunks
    rather than one by one. *)
 let round_cutoff = 2
@@ -481,7 +445,7 @@ let process_instant st ~tau ~n_active =
   if !need_round then begin
     (* Stage 2 (parallel engine only, contested rounds only): pin 2·v of
        every sub-coalition at [tau] before any round runs, so the parallel
-       rounds below only read the v2 cache.  Values are frozen within the
+       rounds below only read [v2_val].  Values are frozen within the
        instant either way; the sequential engine keeps the lazy per-read
        path. *)
     if par && !contested then begin
@@ -579,11 +543,9 @@ let coalition_value_scaled st ~mask ~time =
   advance_all st ~time;
   v2_sim st ~mask ~time
 
-let make_with_internals ?(name = "ref") ?concept ?workers ?max_restarts
-    ?value_cache () instance ~rng:_ =
-  let st =
-    create_internals ?concept ?workers ?max_restarts ?value_cache instance
-  in
+let make_with_internals ?(name = "ref") ?concept ?workers ?max_restarts ()
+    instance ~rng:_ =
+  let st = create_internals ?concept ?workers ?max_restarts instance in
   let policy =
     Policy.make ~name
       ~on_release:(fun _view ~time:_ job ->
@@ -630,9 +592,9 @@ let make_with_internals ?(name = "ref") ?concept ?workers ?max_restarts
              instant, and it may change the consortium mask the top-level φ
              walks over; drop the per-instant memo stamps so every value is
              re-derived after the sims replay the event.  Recomputation is
-             bit-exact (the epoch-keyed polynomial cache still short-cuts
-             unchanged sims), so this only costs time, and endowments are
-             rare next to completions. *)
+             bit-exact (every value is an O(1) polynomial read), so this
+             only costs time, and endowments are rare next to
+             completions. *)
           Array.fill st.v2_stamp 0 (Array.length st.v2_stamp) min_int;
           Array.fill st.phi2_stamp 0 (Array.length st.phi2_stamp) min_int;
           Array.iter
@@ -684,10 +646,10 @@ let make_with_internals ?(name = "ref") ?concept ?workers ?max_restarts
   in
   (policy, st)
 
-let make ?name ?concept ?workers ?max_restarts ?value_cache () instance ~rng =
+let make ?name ?concept ?workers ?max_restarts () instance ~rng =
   fst
-    (make_with_internals ?name ?concept ?workers ?max_restarts ?value_cache ()
-       instance ~rng)
+    (make_with_internals ?name ?concept ?workers ?max_restarts () instance
+       ~rng)
 
 let reference instance ~rng = make () instance ~rng
 

@@ -47,7 +47,7 @@ type concept = Shapley_value | Banzhaf_value
 
 val make :
   ?name:string -> ?concept:concept -> ?workers:int -> ?max_restarts:int ->
-  ?value_cache:bool -> unit -> Policy.maker
+  unit -> Policy.maker
 (** [make ?name ?concept ?workers ()] builds a REF maker.  [workers] caps
     the number of domains the engine may use per stage (1 = strictly
     sequential, never touches the pool); it defaults to the driver's
@@ -56,14 +56,10 @@ val make :
     [Sim.Driver.run ?workers]).  The schedule produced is bit-identical for
     every worker count.
 
-    [value_cache] (default [true]) enables the cross-instant coalition-value
-    cache (DESIGN.md §13): between two events of a sub-coalition simulation
-    its value 2·v(t) is an exact integer polynomial in [t], so REF caches
-    the coefficients keyed by the simulation's state epoch and re-evaluates
-    instead of re-folding the member trackers.  Values are exact integers
-    either way, so schedules are bit-identical with the cache on or off;
-    hit/miss counters surface as [ref.vcache_hits]/[ref.vcache_misses] in
-    {!Obs.Metrics}.
+    Between two events of a sub-coalition simulation its value 2·v(t) is
+    an exact integer polynomial in [t] whose coefficients the simulation
+    keeps up to date, so every sub-coalition value REF reads is one O(1)
+    evaluation ({!Coalition_sim.value_scaled}, DESIGN.md §13).
 
     Machine faults delivered through {!Policy.t.on_fault} are mirrored into
     every sub-coalition simulation containing the machine's owner, so the
@@ -77,7 +73,7 @@ type internals
 
 val make_with_internals :
   ?name:string -> ?concept:concept -> ?workers:int -> ?max_restarts:int ->
-  ?value_cache:bool -> unit -> Instance.t -> rng:Fstats.Rng.t ->
+  unit -> Instance.t -> rng:Fstats.Rng.t ->
   Policy.t * internals
 
 val contributions_scaled : internals -> view:Policy.view -> time:int -> float array

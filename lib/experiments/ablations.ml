@@ -36,7 +36,7 @@ let rand_sample_sweep ?(samples = [ 5; 15; 75 ]) ?(instances = 5)
       evaluate_set
         ~label:(Printf.sprintf "N=%d" n)
         ~algorithms:
-          [ (Printf.sprintf "rand-%d" n, Algorithms.Rand.rand ?value_cache:None ~n) ]
+          [ (Printf.sprintf "rand-%d" n, Algorithms.Rand.rand ~n) ]
         ~instances ~seed make_instance)
     samples
 

@@ -138,7 +138,7 @@ let scaling_one ~k ~n ~jobs_per_org ~horizon ~seed =
     let rng = Fstats.Rng.create ~seed:(seed lxor 0x5ca1e) in
     Sim.Driver.run ~record:false ~workers:1 ~instance ~rng maker
   in
-  let rand_res = run (Algorithms.Rand.rand ?value_cache:None ~n) in
+  let rand_res = run (Algorithms.Rand.rand ~n) in
   let exact_ms_opt =
     if k <= exact_feasible_k then
       Some ((run Algorithms.Reference.reference).Sim.Driver.wall_seconds *. 1000.)

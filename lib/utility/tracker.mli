@@ -12,9 +12,10 @@
 
     Between two state changes ψsp is therefore an exact integer polynomial
     in [t] whose coefficients ({!coeff_a}, {!coeff_b}, {!coeff_c}) are read
-    in O(1) without allocating.  {!value_scaled} and {!parts} still fold
-    over the running pieces directly (O(active jobs)): the direct fold is
-    the independent computation the polynomial is checked against.
+    in O(1) without allocating; {!value_scaled} and {!parts} evaluate it.
+    {!value_scaled_fold} and {!parts_fold} fold over the running pieces
+    directly (O(active jobs)): they are the independent computation the
+    polynomial is tested against.
 
     One tracker instance serves one organization in one (coalition)
     schedule.  The same structure also tracks the *contribution* estimate of
@@ -46,15 +47,26 @@ val on_abort : t -> key:int -> unit
     had never started.  @raise Invalid_argument if [key] is not active. *)
 
 val value_scaled : t -> at:int -> int
-(** [2·ψsp] of everything seen so far, evaluated at [at].  [at] must be at
-    or after the latest [on_start] (values of running jobs would otherwise
-    be miscounted); this is asserted. *)
+(** [2·ψsp] of everything seen so far, evaluated at [at]: the polynomial
+    [a·at² + b·at + c], O(1) and allocation-free.  [at] must be at or after
+    the latest [on_start] (values of running jobs would otherwise be
+    miscounted); this is asserted. *)
 
 val value : t -> at:int -> float
 
 val parts : t -> at:int -> int
 (** Executed unit parts before [at] (the derivative of ψsp, and the paper's
-    [finUt]/[finCon] counters). *)
+    [finUt]/[finCon] counters): [slope + a·at − Σ start] over the running
+    pieces, O(1) and allocation-free.  Same precondition as
+    {!value_scaled}, asserted. *)
+
+val value_scaled_fold : t -> at:int -> int
+(** {!value_scaled} computed by folding over the running pieces,
+    O(active jobs): the reference the polynomial is tested against. *)
+
+val parts_fold : t -> at:int -> int
+(** {!parts} computed by folding over the running pieces (a piece starting
+    after [at] counts 0), O(active jobs): the test reference. *)
 
 val active_count : t -> int
 
@@ -65,4 +77,4 @@ val coeff_c : t -> int
     [at] at or after the latest start — ψsp between two state changes is an
     exact integer polynomial in time (completed pieces are linear, each
     running piece adds one triangular term).  O(1), allocation-free;
-    evaluating the polynomial is bit-identical to {!value_scaled}. *)
+    evaluating the polynomial is bit-identical to {!value_scaled_fold}. *)

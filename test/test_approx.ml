@@ -6,13 +6,11 @@
      bound is probabilistic, so single runs may violate it — the *rate*
      must not exceed 1 − confidence, with binomial slack);
 
-   - the cross-instant coalition-value cache is a pure optimization: REF
-     and RAND schedules are BIT-identical with the cache on and off, for
-     random instances, sequential and parallel alike (the cached value is
-     an exact integer polynomial — the sim's incrementally kept
-     coefficients — so this is an identity, not a tolerance).  With the
-     cache off the policies run the direct tracker fold, so the
-     differential compares two independent computations. *)
+   - a coalition simulator's O(1) value (the polynomial over its
+     incrementally kept coefficients, which REF and RAND read) equals the
+     direct fold over its members' running pieces at every instant, under
+     faults and endowment churn alike — an exact identity, not a
+     tolerance. *)
 
 open Core
 
@@ -43,93 +41,18 @@ let test_bound_across_seeds () =
     Alcotest.failf "bound violated %d/%d times (allowed ~%.0f)" !violations
       !checked limit
 
-(* --- cache on/off bit-identity ----------------------------------------- *)
+(* --- the O(1) coalition value against the member fold ------------------ *)
 
-(* Random small instances, same shape as test_parallel_ref. *)
-let instance_gen =
-  let gen =
-    QCheck.Gen.(
-      let* norgs = int_range 2 6 in
-      let* machines = array_size (return norgs) (int_range 1 2) in
-      let* njobs = int_range 1 20 in
-      let* jobs =
-        list_size (return njobs)
-          (let* org = int_range 0 (norgs - 1) in
-           let* release = int_range 0 40 in
-           let* size = int_range 1 6 in
-           return (org, release, size))
-      in
-      return (machines, jobs))
-  in
-  let make (machines, jobs) =
-    let jobs =
-      List.map
-        (fun (org, release, size) -> Job.make ~org ~index:0 ~release ~size ())
-        jobs
-    in
-    Instance.make ~machines ~jobs ~horizon:120
-  in
-  let arb =
-    QCheck.make
-      ~print:(fun raw -> Format.asprintf "%a" Instance.pp_detailed (make raw))
-      gen
-  in
-  (arb, make)
-
-let identical a b =
-  a.Sim.Driver.utilities_scaled = b.Sim.Driver.utilities_scaled
-  && a.Sim.Driver.parts = b.Sim.Driver.parts
-  && a.Sim.Driver.events = b.Sim.Driver.events
-  && Schedule.placements a.Sim.Driver.schedule
-     = Schedule.placements b.Sim.Driver.schedule
-
-let run_ref ~workers ~value_cache instance =
-  Sim.Driver.run ~workers ~instance
-    ~rng:(Fstats.Rng.create ~seed:3)
-    (Algorithms.Reference.make ~value_cache ())
-
-let run_rand ~value_cache instance =
-  Sim.Driver.run ~workers:1 ~instance
-    ~rng:(Fstats.Rng.create ~seed:3)
-    (Algorithms.Rand.rand ~value_cache ~n:15)
-
-let qcheck_ref_cache_identity =
-  let arb, make = instance_gen in
-  QCheck.Test.make ~count:40
-    ~name:"REF value-cache on/off bit-identical (seq + par)" arb (fun raw ->
-      let instance = make raw in
-      let on = run_ref ~workers:1 ~value_cache:true instance in
-      let off = run_ref ~workers:1 ~value_cache:false instance in
-      let par_on = run_ref ~workers:4 ~value_cache:true instance in
-      let par_off = run_ref ~workers:4 ~value_cache:false instance in
-      identical on off && identical on par_on && identical on par_off)
-
-let qcheck_rand_cache_identity =
-  let arb, make = instance_gen in
-  QCheck.Test.make ~count:40 ~name:"RAND value-cache on/off bit-identical" arb
-    (fun raw ->
-      let instance = make raw in
-      identical
-        (run_rand ~value_cache:true instance)
-        (run_rand ~value_cache:false instance))
-
-(* The polynomial evaluated by the cache must agree with the direct tracker
-   fold at every query instant, not just end-to-end.  The sim keeps one
-   aggregate a/b/c and one epoch, updated on every path that changes a
-   member's tracker; check after every instant that the aggregate equals the
-   direct member fold (Coalition_sim.value_scaled) at every [at] at or after
-   the sim's latest event, and that the epoch counts exactly the starts,
-   completions and kills the sim's kernel processed. *)
+(* The sim keeps one aggregate a/b/c, updated on every path that changes a
+   member's tracker, and [value_scaled] evaluates it.  Check after every
+   instant that it equals the direct member fold ([value_scaled_fold]) at
+   every [at] at or after the sim's latest event. *)
 module Sim = Algorithms.Coalition_sim
 
 let poly_agrees sim ~time =
-  let a = Sim.coeff_a sim and b = Sim.coeff_b sim and c = Sim.coeff_c sim in
-  let st = Sim.stats sim in
-  Sim.epoch sim
-  = st.Kernel.Stats.starts + st.Kernel.Stats.completions + st.Kernel.Stats.kills
-  && List.for_all
-       (fun at -> Sim.value_scaled sim ~at = (((a * at) + b) * at) + c)
-       [ time; time + 1; time + 7 ]
+  List.for_all
+    (fun at -> Sim.value_scaled sim ~at = Sim.value_scaled_fold sim ~at)
+    [ time; time + 1; time + 7 ]
 
 (* Steps [sim] instant by instant to [horizon]; returns the first instant at
    which the aggregate disagrees, if any. *)
@@ -267,10 +190,8 @@ let () =
           Alcotest.test_case "sampled error within bound across seeds" `Quick
             test_bound_across_seeds;
         ] );
-      ( "value-cache",
+      ( "value-poly",
         [
-          QCheck_alcotest.to_alcotest qcheck_ref_cache_identity;
-          QCheck_alcotest.to_alcotest qcheck_rand_cache_identity;
           Alcotest.test_case "coefficients match value_scaled" `Quick
             test_coeffs_agree;
         ] );

@@ -121,8 +121,9 @@ let test_malformed_estimator_specs () =
   check_error "simulate --estimator rand-0" ~expect:"must be positive";
   check_error "simulate --estimator bogus" ~expect:"unknown estimator";
   check_error "serve --estimator rand:0.5" ~expect:"missing confidence";
-  (* The cache toggle only exists for estimator-backed algorithms. *)
-  check_error "simulate -a fifo --no-value-cache" ~expect:"--no-value-cache"
+  (* Coalition values have one O(1) evaluation; the old cache toggle is
+     gone and is rejected like any unknown flag. *)
+  check_error "simulate --no-value-cache" ~expect:"unknown option"
 
 let test_estimator_end_to_end () =
   let code, lines =
@@ -138,10 +139,9 @@ let test_estimator_end_to_end () =
     (contains all "rand:0.5,0.9");
   let code, lines =
     run_cmd
-      "simulate --estimator exact --no-value-cache --orgs 3 --machines 6 \
-       --horizon 2000"
+      "simulate --estimator exact --orgs 3 --machines 6 --horizon 2000"
   in
-  Alcotest.(check int) "exact estimator with cache off exits 0" 0 code;
+  Alcotest.(check int) "exact estimator exits 0" 0 code;
   Alcotest.(check bool) "exact resolves to ref" true
     (contains (String.concat "\n" lines) "ref")
 

@@ -100,14 +100,15 @@ let test_scenario_identical () =
 
 (* A transcription of the canonical walk: the mask first, then the
    decreasing submask walk, members ascending; sub-coalition values from
-   [coalition_value_scaled], the grand coalition's from the driver's
-   trackers.  Banzhaf shares are rescaled to the coalition value. *)
+   [coalition_value_scaled], the grand coalition's from the direct fold
+   over the driver's trackers (the engine reads their polynomials).
+   Banzhaf shares are rescaled to the coalition value. *)
 let canonical_phi2 ~concept st (view : Algorithms.Policy.view) ~time =
   let k = Instance.organizations view.Algorithms.Policy.instance in
   let grand = Shapley.Coalition.grand ~players:k in
   let top =
     Array.fold_left
-      (fun acc tr -> acc + Utility.Tracker.value_scaled tr ~at:time)
+      (fun acc tr -> acc + Utility.Tracker.value_scaled_fold tr ~at:time)
       0 view.Algorithms.Policy.trackers
   in
   let v2 sub =

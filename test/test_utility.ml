@@ -177,11 +177,11 @@ let test_tracker_parts_and_errors () =
     (Invalid_argument "Tracker.on_start: duplicate active key") (fun () ->
       Tracker.on_start t ~key:2 ~start:4)
 
-(* The O(1) coefficients must equal the direct triangular fold at every
-   [at] at or after the latest start, after any stream of starts,
-   completions and aborts.  Ops: (kind, time step, size); a completion or
-   abort picks a running piece by position, and is skipped when none
-   runs. *)
+(* The O(1) coefficients, [value_scaled] and [parts] must equal the direct
+   folds at every [at] at or after the latest start, after any stream of
+   starts, completions and aborts.  Ops: (kind, time step, size); a
+   completion or abort picks a running piece by position, and is skipped
+   when none runs. *)
 let qcheck_tracker_coeffs =
   QCheck.Test.make ~name:"O(1) coefficients = direct fold" ~count:500
     QCheck.(
@@ -199,7 +199,10 @@ let qcheck_tracker_coeffs =
         List.for_all
           (fun d ->
             let at = !latest + d in
-            Tracker.value_scaled t ~at = (((a * at) + b) * at) + c)
+            let fold = Tracker.value_scaled_fold t ~at in
+            (((a * at) + b) * at) + c = fold
+            && Tracker.value_scaled t ~at = fold
+            && Tracker.parts t ~at = Tracker.parts_fold t ~at)
           [ 0; 1; 2; 5; 13 ]
       in
       List.for_all
