@@ -1,5 +1,11 @@
-(* End-to-end smoke for the live observability plane, driven through the
-   REAL `fairsched` binary (argv.(1)):
+(* End-to-end smoke for the observability layer, driven through the REAL
+   `fairsched` binary (argv.(1)).
+
+   A traced batch run first: `simulate` a small scenario with tracing and
+   metrics on (2 worker domains, so the pool path is exercised), then
+   `validate-trace` its Chrome trace and parse its metrics file.
+
+   Then the live observability plane:
 
    1. boot a sharded daemon (4 org-groups on 4 worker domains, group
       commit, the rand-4 sampled estimator) with structured NDJSON logs;
@@ -224,4 +230,16 @@ let live_plane dir =
       check_log log;
       Smoke.expect_cli [ "ctl"; "drain"; "--to"; sock ])
 
-let () = Smoke.run ~name:"obs-smoke" [ live_plane ]
+let traced_batch dir =
+  let trace_file = Filename.concat dir "batch-trace.json"
+  and metrics_file = Filename.concat dir "batch-metrics.json" in
+  Smoke.expect_cli
+    [
+      "simulate"; "--orgs"; "3"; "--machines"; "6"; "--horizon"; "3000";
+      "--workers"; "2"; "--seed"; "11"; "--trace"; trace_file;
+      "--metrics=" ^ metrics_file;
+    ];
+  Smoke.expect_cli [ "validate-trace"; trace_file ];
+  ignore (read_json metrics_file)
+
+let () = Smoke.run ~name:"obs-smoke" [ traced_batch; live_plane ]

@@ -124,78 +124,44 @@ let apply_endow_global t own ~time ev =
               else acc)
         Kernel.Engine.no_endow_effect changes
 
-let global_homes instance =
-  let norgs = Instance.organizations instance in
-  let acc = ref [] in
-  for u = norgs - 1 downto 0 do
-    acc :=
-      List.rev_append (List.init instance.Instance.machines.(u) (fun _ -> u))
-        !acc
-  done;
-  Array.of_list !acc
-
-let create ?max_restarts ?(federated = false) ~instance ~members () =
+let create ?max_restarts ?record ?(federated = false) ~instance ~members () =
   if members = Shapley.Coalition.empty then
     invalid_arg "Coalition_sim.create: empty coalition";
   let norgs = Instance.organizations instance in
-  let nglobal = Array.fold_left ( + ) 0 instance.Instance.machines in
-  let machine_owners =
-    if federated then global_homes instance
-    else
-      Shapley.Coalition.fold
-        (fun u acc ->
-          List.rev_append
-            (List.init instance.Instance.machines.(u) (fun _ -> u))
-            acc)
-        members []
-      |> List.rev |> Array.of_list
-  in
-  if Array.length machine_owners = 0 then
-    invalid_arg "Coalition_sim.create: coalition owns no machine";
-  (* Related machines: carry over the members' machine speeds, flattened in
-     the same member-ascending order as [machine_owners] (federated mode
-     hosts everyone's machines, so the global array carries over as is). *)
+  let machines = instance.Instance.machines in
+  (* The driver lays machines out org-contiguously ascending.  A static
+     coalition hosts its members' machines in that order, compacted;
+     federated mode hosts the full global universe under identity ids
+     (ownership moves at runtime, so the compaction is impossible) and
+     keeps non-member machines absent.  [hosted.(l)] is local machine [l]'s
+     global id. *)
+  let nglobal = Array.fold_left ( + ) 0 machines in
+  let local_of_global = Array.make nglobal (-1) in
+  let hosted = Array.make nglobal 0 and owners = Array.make nglobal 0 in
+  let n = ref 0 and g = ref 0 in
+  for u = 0 to norgs - 1 do
+    for _ = 1 to machines.(u) do
+      if federated || Shapley.Coalition.mem members u then begin
+        local_of_global.(!g) <- !n;
+        hosted.(!n) <- !g;
+        owners.(!n) <- u;
+        incr n
+      end;
+      incr g
+    done
+  done;
+  if !n = 0 then invalid_arg "Coalition_sim.create: coalition owns no machine";
+  let machine_owners = Array.sub owners 0 !n in
   let speeds =
-    if federated then instance.Instance.speeds
-    else
-      match instance.Instance.speeds with
-      | None -> None
-      | Some _ ->
-          Some
-            (Shapley.Coalition.fold
-               (fun u acc ->
-                 Array.to_list (Instance.speeds_of_org instance u) :: acc)
-               members []
-            |> List.rev |> List.concat |> Array.of_list)
-  in
-  (* The driver lays machines out org-contiguously ascending; a coalition
-     keeps the member orgs' blocks in the same order, so a global machine id
-     maps to (member prefix count) + (slot within the owner's block).  In
-     federated mode the map is the identity: ownership moves at runtime, so
-     the compile-time compaction is impossible — non-member machines are
-     instead kept absent. *)
-  let local_of_global =
-    if federated then Array.init nglobal Fun.id
-    else begin
-      let local_of_global = Array.make nglobal (-1) in
-      let next_local = ref 0 and next_global = ref 0 in
-      for u = 0 to norgs - 1 do
-        let c = instance.Instance.machines.(u) in
-        if Shapley.Coalition.mem members u then begin
-          for s = 0 to c - 1 do
-            local_of_global.(!next_global + s) <- !next_local + s
-          done;
-          next_local := !next_local + c
-        end;
-        next_global := !next_global + c
-      done;
-      local_of_global
-    end
+    Option.map
+      (fun sp -> Array.init !n (fun l -> sp.(hosted.(l))))
+      instance.Instance.speeds
   in
   let rec t =
     {
       members;
-      cluster = Cluster.create ?speeds ?max_restarts ~machine_owners ~norgs ();
+      cluster =
+        Cluster.create ?record ?speeds ?max_restarts ~machine_owners ~norgs ();
       trackers =
         (let inert = Utility.Tracker.create () in
          Array.init norgs (fun u ->
@@ -307,10 +273,6 @@ let add_endow t (ev : Federation.Event.timed) =
     invalid_arg "Coalition_sim.add_endow: sim is not federated";
   Kernel.Engine.push_endow t.engine ev
 
-let federated t = t.ownership <> None
-
-let visible_machines t = Cluster.present_count t.cluster
-
 let next_event t = Kernel.Engine.next_event t.engine t.model
 
 let step_releases_and_completions t ~time =
@@ -333,10 +295,6 @@ let value_scaled_fold t ~at =
     (fun u acc -> acc + Utility.Tracker.value_scaled_fold t.trackers.(u) ~at)
     t.members 0
 
-let coeff_a t = t.poly_a
-let coeff_b t = t.poly_b
-let coeff_c t = t.poly_c
-
 let utility_scaled t ~org ~at = Utility.Tracker.value_scaled t.trackers.(org) ~at
 let pending t = t.pending
 let waiting_orgs t = Cluster.waiting_orgs t.cluster
@@ -344,3 +302,25 @@ let sole_waiting t = Cluster.sole_waiting t.cluster
 let fifo_org t = Cluster.fifo_org t.cluster
 let has_waiting t = Cluster.has_waiting t.cluster
 let free_count t = Cluster.free_count t.cluster
+let front t org = Cluster.front t.cluster org
+
+let schedule t =
+  Schedule.of_placements
+    ~machines:(Cluster.machines t.cluster)
+    (Cluster.placements t.cluster)
+
+let fifo_value ~instance ~members ~at =
+  if
+    Shapley.Coalition.fold (fun u acc -> acc + instance.Instance.machines.(u))
+      members 0
+    = 0
+  then 0.
+  else begin
+    let t = create ~instance ~members () in
+    Array.iter
+      (fun (j : Job.t) ->
+        if Shapley.Coalition.mem members j.Job.org then add_release t j)
+      instance.Instance.jobs;
+    advance_to t ~time:at ~select:(fun t ~time:_ -> fifo_org t);
+    float_of_int (value_scaled t ~at) /. 2.
+  end

@@ -13,21 +13,23 @@ open Core
     The simulator does not choose jobs itself: [advance_to] takes the
     selection rule as a callback, so REF can plug its recursive
     Shapley-based rule and RAND a plain FIFO.  The callback may consult
-    other simulators' values — REF advances all 2^k−1 simulators in global
-    event order (size-ascending at equal instants), which keeps every
-    sub-coalition's value current when a larger coalition decides. *)
+    other simulators' values — {!Coalition_set} steps a set of simulators
+    in global event order (size-ascending at equal instants), which keeps
+    every sub-coalition's value current when a larger coalition decides. *)
 
 type t
 
 val create :
   ?max_restarts:int ->
+  ?record:bool ->
   ?federated:bool ->
   instance:Instance.t ->
   members:Shapley.Coalition.t ->
   unit -> t
 (** Machines of the member organizations only; machine owners preserved.
     [max_restarts] bounds per-job resubmissions after kills, as in
-    {!Core.Cluster.create}.
+    {!Core.Cluster.create}.  [record] (default [false]) keeps the
+    placement list for {!schedule}, as the generic Fig. 1 REF needs.
 
     [federated] (default [false]) prepares the simulator for a live
     endowment stream: it hosts the {e full} global machine universe under
@@ -72,12 +74,6 @@ val add_endow : t -> Federation.Event.timed -> unit
     retracted); a member org leaving is suspended, rejoining resumed.
     @raise Invalid_argument if the simulator was not created [~federated]. *)
 
-val federated : t -> bool
-
-val visible_machines : t -> int
-(** Machines currently usable by this coalition (present in its cluster) —
-    in static mode a constant, in federated mode k(t)-dependent. *)
-
 val next_event : t -> int option
 (** Earliest pending event: the front of the release backlog, the first
     pending fault, or the first completion — the times at which new
@@ -90,9 +86,9 @@ val advance_to : t -> time:int -> select:(t -> time:int -> int) -> unit
     is called only while a machine is free and someone waits). *)
 
 val step_releases_and_completions : t -> time:int -> unit
-(** Lockstep building block for REF: process arrivals and completions at
-    exactly [time] without scheduling (the caller runs the scheduling round
-    for all coalitions afterwards, size-ascending).  [time] must not
+(** {!Coalition_set}'s building block: process arrivals and completions at
+    exactly [time] without scheduling (the set runs the scheduling rounds
+    of all its coalitions afterwards, size-ascending).  [time] must not
     precede [now]. *)
 
 val schedule_round : t -> time:int -> select:(t -> time:int -> int) -> unit
@@ -102,11 +98,13 @@ val schedule_round : t -> time:int -> select:(t -> time:int -> int) -> unit
 (** {2 Values} *)
 
 val value_scaled : t -> at:int -> int
-(** [2·v(C, at)]: twice the coalition's total ψsp, evaluated as the
-    polynomial [a·at² + b·at + c] of {!coeff_a}/{!coeff_b}/{!coeff_c} —
-    O(1), allocation-free.  [at] must be [>= now] and at most [now]'s next
-    completion instant for exactness; REF and RAND query at the current
-    round instant.  [at] at or after the latest start is asserted. *)
+(** [2·v(C, at)]: twice the coalition's total ψsp.  Between state changes
+    it is an exact integer polynomial [a·at² + b·at + c] whose coefficients
+    the simulator keeps up to date on every start, completion and kill, so
+    this is O(1) and allocation-free.  [at] must be [>= now] and at most
+    [now]'s next completion instant for exactness; REF and RAND query at
+    the current round instant.  [at] at or after the latest start is
+    asserted. *)
 
 val value_scaled_fold : t -> at:int -> int
 (** {!value_scaled} as the sum of the members'
@@ -115,15 +113,6 @@ val value_scaled_fold : t -> at:int -> int
 
 val utility_scaled : t -> org:int -> at:int -> int
 (** [2·ψsp(org)] within this coalition's schedule. *)
-
-val coeff_a : t -> int
-val coeff_b : t -> int
-val coeff_c : t -> int
-(** [a], [b], [c] with [value_scaled ~at = a·at² + b·at + c] for every
-    [at] at or after this simulator's latest event — the coalition value
-    between state changes is an exact integer polynomial in time.  The
-    simulator keeps this aggregate up to date on every start, completion
-    and kill, so reading it is O(1) and allocates nothing. *)
 
 val pending : t -> Instant.t
 (** Started-this-instant counters (the selection convention). *)
@@ -139,3 +128,19 @@ val fifo_org : t -> int
 
 val has_waiting : t -> bool
 val free_count : t -> int
+
+val front : t -> int -> Job.t option
+(** {!Core.Cluster.front} of this simulator's cluster. *)
+
+val schedule : t -> Schedule.t
+(** The placements so far, killed attempts excised; empty unless created
+    with [~record:true]. *)
+
+(** {2 Standalone values} *)
+
+val fifo_value :
+  instance:Instance.t -> members:Shapley.Coalition.t -> at:int -> float
+(** [v(C, at)]: the total ψsp of the coalition scheduling all its members'
+    jobs of [instance] alone, FIFO (the rule RAND simulates; by Prop. 5.4
+    every greedy rule gives the same value on unit-size jobs).  0 for the
+    empty coalition and for one owning no machine. *)

@@ -59,10 +59,6 @@ let fair_share_impl ~name ~shares_of instance ~rng:_ =
 let fair_share instance ~rng =
   fair_share_impl ~name:"fairshare" ~shares_of:default_shares instance ~rng
 
-let fair_share_with_shares ~shares instance ~rng =
-  fair_share_impl ~name:"fairshare-custom" ~shares_of:(fun _ -> shares)
-    instance ~rng
-
 let ut_fair_share instance ~rng:_ =
   let shares = default_shares instance in
   let pending = Instant.create ~norgs:(Instance.organizations instance) in

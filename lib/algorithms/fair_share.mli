@@ -17,7 +17,3 @@ val ut_fair_share : Policy.maker
 val curr_fair_share : Policy.maker
 (** CURRFAIRSHARE: memoryless variant — consumption = number of
     currently-running jobs. *)
-
-val fair_share_with_shares : shares:float array -> Policy.maker
-(** FAIRSHARE with explicit target shares (must be positive); for
-    experiments departing from the machines-contributed default. *)

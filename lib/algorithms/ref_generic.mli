@@ -21,7 +21,11 @@ open Core
     Cost is O(3^k · |σ|) per decision instant: strictly a reference
     implementation for small instances, worked examples, and the
     utility-function ablation.  For production use with ψsp, use
-    {!Reference}, which this module is property-tested against. *)
+    {!Reference}, which this module is property-tested against.
+
+    The recorded sub-coalition schedules run on the same {!Coalition_set}
+    engine as {!Reference} (related machine speeds, faults and endowment
+    churn included); only the selection rule above is this module's. *)
 
 val make :
   utility:Utility.Functions.t -> ?name:string -> ?workers:int ->
@@ -31,11 +35,11 @@ val make :
     [workers] caps the domains used for the per-instant parallel stages
     (1 = strictly sequential); defaults to the driver's domain-local
     default ({!Core.Domain_pool.default_workers}).  Output is bit-identical
-    for every worker count.  Machine faults are mirrored into the
-    sub-coalition schedules; killed attempts are excised from the recorded
-    schedules, so the generic ψ evaluation never counts lost work.
-    [max_restarts] bounds resubmissions inside those simulations (default
-    unbounded). *)
+    for every worker count.  Machine faults and endowment events are
+    mirrored into the sub-coalition schedules; killed attempts are excised
+    from the recorded schedules, so the generic ψ evaluation never counts
+    lost work.  [max_restarts] bounds resubmissions inside those
+    simulations (default unbounded). *)
 
 val make_with :
   (Instance.t -> Utility.Functions.t) -> ?name:string -> ?workers:int ->

@@ -14,23 +14,14 @@ open Core
 
     Cost per decision instant is O(k·3^k) plus the bookkeeping of 2^k − 1
     concurrent simulations (Proposition 3.4) — FPT in the number of
-    organizations, practical for k ≲ 12.  The sub-coalition simulations
-    advance in lockstep, in global event order and size-ascending within an
-    instant, exactly like the [for s ← 1 to ‖C‖] loop of Fig. 1.
+    organizations, practical for k ≲ 12.  The sub-coalition simulations run
+    on the shared {!Coalition_set} engine: in global event order and
+    size-ascending within an instant, exactly like the [for s ← 1 to ‖C‖]
+    loop of Fig. 1, optionally domain-parallel and bit-identical for every
+    worker count (DESIGN.md, "Performance engineering").
 
     The driver's own cluster plays the role of the grand coalition's
-    schedule, so the utilities REF is fair about are the real ones.
-
-    {b Engine.}  The advancement engine is event-driven and optionally
-    domain-parallel: a global min-heap of (next-event-time, coalition)
-    entries replaces the per-instant scan over all 2^k − 1 simulations, and
-    within one instant the arrival/completion step and each size class of
-    scheduling rounds run as parallel stages over the persistent
-    {!Core.Domain_pool} (coalitions of equal size never read each other's
-    state, and all coalition values are frozen within an instant).  Results
-    are bit-identical for every worker count — parallelism never reorders
-    any float accumulation or selection; see DESIGN.md, "Performance
-    engineering". *)
+    schedule, so the utilities REF is fair about are the real ones. *)
 
 val reference : Policy.maker
 (** The paper's REF under the name ["ref"]. *)

@@ -35,13 +35,3 @@ let find_exn name =
   | None -> invalid_arg (Printf.sprintf "unknown algorithm %S" name)
 
 let all_names = List.map fst fixed
-
-let evaluated_set =
-  List.filter
-    (fun (name, _) ->
-      List.mem name
-        [
-          "roundrobin"; "rand-15"; "directcontr"; "fairshare"; "utfairshare";
-          "currfairshare";
-        ])
-    fixed

@@ -12,8 +12,3 @@ val all_names : string list
 (** Canonical names, evaluation set first (REF, RAND variants, DIRECTCONTR,
     FAIRSHARE, UTFAIRSHARE, CURRFAIRSHARE, ROUNDROBIN), then extra
     baselines. *)
-
-val evaluated_set : (string * Policy.maker) list
-(** The paper's Table 1/2 line-up (excluding REF, which is the reference the
-    others are compared against): RAND-15, DIRECTCONTR, FAIRSHARE,
-    UTFAIRSHARE, CURRFAIRSHARE, ROUNDROBIN. *)

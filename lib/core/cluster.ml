@@ -29,7 +29,6 @@ type t = {
   mutable waiting_total : int;
   running_per_org : int array;
   completed_work : int array;
-  mutable started : int;
   mutable placements : Schedule.placement list;
   (* Fault state. *)
   up : bool array;
@@ -86,7 +85,6 @@ let create ?(record = false) ?speeds ?max_restarts ~machine_owners ~norgs () =
     waiting_total = 0;
     running_per_org = Array.make norgs 0;
     completed_work = Array.make norgs 0;
-    started = 0;
     placements = [];
     up = Array.make m true;
     down_count = 0;
@@ -247,7 +245,6 @@ let start_front t ~org ~time ?machine () =
   in
   t.waiting_total <- t.waiting_total - 1;
   t.running_per_org.(org) <- t.running_per_org.(org) + 1;
-  t.started <- t.started + 1;
   let duration = duration_on t ~machine ~size:job.Job.size in
   Heap.add t.heap ~prio:(time + duration)
     { r_job = job; r_start = time; r_machine = machine };
@@ -256,9 +253,7 @@ let start_front t ~org ~time ?machine () =
   placement
 
 let running_count t u = t.running_per_org.(u)
-let running_total t = Array.fold_left ( + ) 0 t.running_per_org
 let completed_work t u = t.completed_work.(u)
-let started_count t = t.started
 let placements t = t.placements
 
 (* --- machine faults ----------------------------------------------------- *)
@@ -428,7 +423,6 @@ let resume_org t u =
     t.waiting_total <- t.waiting_total + waiting_count t u
   end
 
-let killed_segments t = t.killed
 let killed_count t = t.killed_count
 let wasted_work t u = t.wasted_work.(u)
 let abandoned t = List.rev t.abandoned

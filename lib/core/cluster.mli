@@ -104,12 +104,8 @@ val start_front : t -> org:int -> time:int -> ?machine:int -> unit -> Schedule.p
 val running_count : t -> int -> int
 (** Currently-running jobs of one organization (used by CURRFAIRSHARE). *)
 
-val running_total : t -> int
 val completed_work : t -> int -> int
 (** Total size of completed jobs of one organization. *)
-
-val started_count : t -> int
-(** Number of jobs started so far (across organizations). *)
 
 val placements : t -> Schedule.placement list
 (** All placements so far, most recent first; empty unless [record] was
@@ -130,8 +126,8 @@ val fail_machine : t -> time:int -> int -> kill option
     running there ([None] if the machine was free or already down).  The
     machine leaves the free pool until {!recover_machine}.  On recording
     clusters the optimistic full-duration placement of the killed attempt
-    is replaced by a truncated segment in {!killed_segments} (dropped when
-    zero-length).  @raise Invalid_argument on a bad machine id or if
+    is replaced by a truncated segment in {!to_schedule}'s killed list
+    (dropped when zero-length).  @raise Invalid_argument on a bad machine id or if
     [time] precedes the running job's start. *)
 
 val recover_machine : t -> int -> bool
@@ -185,10 +181,6 @@ val present_count : t -> int
 val org_active : t -> int -> bool
 val active_count : t -> int
 
-val killed_segments : t -> Schedule.placement list
-(** Truncated segments of killed attempts, most recent first; empty unless
-    [record] was set. *)
-
 val killed_count : t -> int
 (** Number of kills so far (counted even when not recording). *)
 
@@ -201,5 +193,6 @@ val abandoned : t -> Job.t list
 val abandoned_count : t -> int
 
 val to_schedule : t -> Schedule.t
-(** Includes {!killed_segments} as the schedule's killed list.
+(** Includes the truncated segments of killed attempts as the schedule's
+    killed list.
     @raise Invalid_argument unless created with [record:true]. *)

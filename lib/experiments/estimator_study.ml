@@ -53,19 +53,7 @@ let game config =
       ~horizon:(config.at + 1)
   in
   let value mask =
-    if mask = Shapley.Coalition.empty then 0.
-    else begin
-      let sim = Algorithms.Coalition_sim.create ~instance ~members:mask () in
-      Array.iter
-        (fun (j : Job.t) ->
-          if Shapley.Coalition.mem mask j.Job.org then
-            Algorithms.Coalition_sim.add_release sim j)
-        instance.Instance.jobs;
-      Algorithms.Coalition_sim.advance_to sim ~time:config.at
-        ~select:Algorithms.Baselines.fifo_select_sim;
-      float_of_int (Algorithms.Coalition_sim.value_scaled sim ~at:config.at)
-      /. 2.
-    end
+    Algorithms.Coalition_sim.fifo_value ~instance ~members:mask ~at:config.at
   in
   Shapley.Game.memoize (Shapley.Game.make ~players:config.players value)
 

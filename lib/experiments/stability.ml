@@ -9,30 +9,6 @@ type report = {
   max_excess_ratio : float;
 }
 
-(* Standalone value of coalition C: schedule C's jobs on C's machines with
-   the FCFS greedy rule.  (For the stability question the secessionists
-   would run their own scheduler; any greedy rule gives the same total for
-   unit jobs and nearly the same total otherwise — the work is conserved.) *)
-let standalone_value ~instance ~mask ~at =
-  let owns_machines =
-    Shapley.Coalition.fold
-      (fun u acc -> acc + instance.Instance.machines.(u))
-      mask 0
-    > 0
-  in
-  if not owns_machines then 0.
-  else begin
-    let sim = Algorithms.Coalition_sim.create ~instance ~members:mask () in
-    Array.iter
-      (fun (j : Job.t) ->
-        if Shapley.Coalition.mem mask j.Job.org then
-          Algorithms.Coalition_sim.add_release sim j)
-      instance.Instance.jobs;
-    Algorithms.Coalition_sim.advance_to sim ~time:at
-      ~select:Algorithms.Baselines.fifo_select_sim;
-    float_of_int (Algorithms.Coalition_sim.value_scaled sim ~at) /. 2.
-  end
-
 let analyze ~instance ~seed policies =
   let k = Instance.organizations instance in
   let at = instance.Instance.horizon in
@@ -43,7 +19,14 @@ let analyze ~instance ~seed policies =
       (Shapley.Coalition.subcoalitions grand)
   in
   let standalone =
-    List.map (fun mask -> (mask, standalone_value ~instance ~mask ~at)) proper
+    (* Standalone value of coalition C: C's jobs on C's machines with the
+       FCFS greedy rule.  (The secessionists would run their own scheduler;
+       any greedy rule gives the same total for unit jobs and nearly the
+       same total otherwise — the work is conserved.) *)
+    List.map
+      (fun mask ->
+        (mask, Algorithms.Coalition_sim.fifo_value ~instance ~members:mask ~at))
+      proper
   in
   List.map
     (fun (name, maker) ->

@@ -105,24 +105,9 @@ let prop55_instance =
      Instance.make ~machines:[| 1; 1; 1 |] ~jobs ~horizon:2)
 
 let coalition_value mask =
-  let instance = Lazy.force prop55_instance in
-  if
-    Shapley.Coalition.fold
-      (fun u acc -> acc + instance.Instance.machines.(u))
-      mask 0
-    = 0
-  then 0.
-  else begin
-    let sim = Algorithms.Coalition_sim.create ~instance ~members:mask () in
-    Array.iter
-      (fun (j : Job.t) ->
-        if Shapley.Coalition.mem mask j.Job.org then
-          Algorithms.Coalition_sim.add_release sim j)
-      instance.Instance.jobs;
-    Algorithms.Coalition_sim.advance_to sim ~time:2
-      ~select:Algorithms.Baselines.fifo_select_sim;
-    float_of_int (Algorithms.Coalition_sim.value_scaled sim ~at:2) /. 2.
-  end
+  Algorithms.Coalition_sim.fifo_value
+    ~instance:(Lazy.force prop55_instance)
+    ~members:mask ~at:2
 
 let prop55_values () =
   let grand = Shapley.Coalition.grand ~players:3 in

@@ -83,11 +83,3 @@ let scatter_int t f =
     Array.iteri (fun i v -> out.(lo + i) <- v) (f g)
   done;
   out
-
-let scatter_float t f =
-  let out = Array.make (Config.organizations t.base) 0. in
-  for g = 0 to t.groups - 1 do
-    let lo, _ = org_range t g in
-    Array.iteri (fun i v -> out.(lo + i) <- v) (f g)
-  done;
-  out

@@ -68,5 +68,3 @@ val scatter_int : t -> (int -> int array) -> int array
 (** Assemble a global per-org int array from per-group local arrays:
     [scatter_int p f] places [f g] (length = group [g]'s org count) at
     the group's block offset. *)
-
-val scatter_float : t -> (int -> float array) -> float array

@@ -7,8 +7,9 @@ open Core
     utility; Section 4 then argues the utility must be ψsp to be
     strategy-proof.  This module packages both ψsp and the classic
     alternatives behind one interface so the general Algorithm REF
-    ({!Algorithms.Ref_generic}) and the utility-function ablation can switch
-    between them.
+    ([Algorithms.Ref_generic], whose recorded sub-coalition schedules run
+    on the shared [Algorithms.Coalition_set] engine) and the
+    utility-function ablation can switch between them.
 
     All functions are in maximization form (bigger = better), non-clairvoyant
     (they only look at executed parts at [at]), and envy-free in the paper's

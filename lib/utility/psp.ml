@@ -29,22 +29,8 @@ let of_schedule_scaled sched ~org ~at =
 let of_schedule sched ~org ~at =
   float_of_int (of_schedule_scaled sched ~org ~at) /. 2.
 
-let value_of_coalition_scaled sched ~at =
-  List.fold_left
-    (fun acc (p : Schedule.placement) ->
-      acc + piece_scaled ~start:p.start ~size:p.Schedule.duration ~at)
-    0
-    (Schedule.placements sched)
-
 let parts_of_piece ~start ~size ~at =
   if start >= at then 0 else Stdlib.min size (at - start)
-
-let completed_parts sched ~at =
-  List.fold_left
-    (fun acc (p : Schedule.placement) ->
-      acc + parts_of_piece ~start:p.start ~size:p.Schedule.duration ~at)
-    0
-    (Schedule.placements sched)
 
 let completed_parts_of_org sched ~org ~at =
   List.fold_left

@@ -34,14 +34,10 @@ val of_schedule_scaled : Schedule.t -> org:int -> at:int -> int
 
 val of_schedule : Schedule.t -> org:int -> at:int -> float
 
-val value_of_coalition_scaled : Schedule.t -> at:int -> int
-(** [2·v(σ,t)] — the total over all organizations (owner-blind). *)
-
-val completed_parts : Schedule.t -> at:int -> int
-(** Number of executed unit parts before [at] — the paper's [p_tot]
-    normalizer for the unfairness ratio. *)
-
 val completed_parts_of_org : Schedule.t -> org:int -> at:int -> int
+(** Executed unit parts of one organization's jobs before [at]; summed over
+    the organizations, the paper's [p_tot] normalizer for the unfairness
+    ratio. *)
 
 (** {2 Properties (used by tests and documentation)}
 

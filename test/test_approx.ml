@@ -13,6 +13,7 @@
      tolerance. *)
 
 open Core
+module Driver = Sim.Driver
 
 (* --- Hoeffding bound across seeds -------------------------------------- *)
 
@@ -182,6 +183,179 @@ let test_coeffs_agree () =
   Alcotest.(check bool) "federated kills exercised" true (!fed_kills > 0);
   Alcotest.(check bool) "leaves exercised" true (!leaves > 0)
 
+(* --- RAND's engine against the per-decision loop ------------------------ *)
+
+(* A transcription of RAND's sampled simulation before the shared coalition
+   engine: every sampled sim kept in a table and advanced with [advance_to]
+   at every decision, FIFO inside, whether or not it has an event due.
+   Returns the policy and its φ̂ (scaled) at a decision instant. *)
+let loop_rand ~n instance ~rng =
+  let rng = Fstats.Rng.split rng in
+  let k = Instance.organizations instance in
+  let federated = Federation.Mode.enabled () in
+  let plan = Shapley.Sample.plan ~rng ~players:k ~n in
+  let sims = Hashtbl.create 64 in
+  Array.iter
+    (fun mask ->
+      let machines =
+        Shapley.Coalition.fold
+          (fun u acc -> acc + instance.Instance.machines.(u))
+          mask 0
+      in
+      if mask <> Shapley.Coalition.empty && (federated || machines > 0) then
+        Hashtbl.replace sims mask
+          (Sim.create ~federated ~instance ~members:mask ()))
+    plan.Shapley.Sample.distinct;
+  let phi2 ~time =
+    Hashtbl.iter
+      (fun _ sim ->
+        Sim.advance_to sim ~time ~select:Algorithms.Baselines.fifo_select_sim)
+      sims;
+    Shapley.Sample.estimate_from_plan plan ~value:(fun mask ->
+        match Hashtbl.find_opt sims mask with
+        | Some sim -> float_of_int (Sim.value_scaled sim ~at:time)
+        | None -> 0.)
+  in
+  let pending = Algorithms.Instant.create ~norgs:k in
+  let policy =
+    Algorithms.Policy.make ~name:"rand-loop"
+      ~on_release:(fun _ ~time:_ (job : Job.t) ->
+        Hashtbl.iter
+          (fun mask sim ->
+            if Shapley.Coalition.mem mask job.Job.org then
+              Sim.add_release sim job)
+          sims)
+      ~on_fault:(fun _ ~time event ->
+        Hashtbl.iter (fun _ sim -> Sim.add_fault sim { Faults.Event.time; event })
+          sims)
+      ~on_endow:(fun _ ~time event ->
+        if federated then
+          Hashtbl.iter
+            (fun _ sim -> Sim.add_endow sim { Federation.Event.time; event })
+            sims)
+      ~on_start:(fun _ ~time p ->
+        Algorithms.Instant.bump pending ~time ~org:p.Schedule.job.Job.org)
+      ~select:(fun view ~time ->
+        let cluster = view.Algorithms.Policy.cluster in
+        let phi2 = phi2 ~time in
+        let sole = Cluster.sole_waiting cluster in
+        if sole >= 0 then sole
+        else
+          let score u =
+            phi2.(u)
+            -. float_of_int
+                 (Algorithms.Policy.utility_plus_pending_scaled view ~pending
+                    ~org:u ~time)
+          in
+          match Cluster.waiting_orgs cluster with
+          | [] -> invalid_arg "rand-loop: nothing waiting"
+          | first :: rest ->
+              List.fold_left
+                (fun best u -> if score u > score best then u else best)
+                first rest)
+      ()
+  in
+  (policy, phi2)
+
+(* Runs rand-15 with every contested [select] first comparing its φ̂ with
+   the loop's, bit for bit, both fed the same hooks and planned from the
+   same seed; returns (checks, mismatches). *)
+let phi_agrees ~faults ~federation instance =
+  let checks = ref 0 and mismatches = ref 0 in
+  let maker instance ~rng:_ =
+    let policy, st =
+      Algorithms.Rand.make_with_internals ~n:15 instance
+        ~rng:(Fstats.Rng.create ~seed:9)
+    in
+    let loop, loop_phi2 =
+      loop_rand ~n:15 instance ~rng:(Fstats.Rng.create ~seed:9)
+    in
+    let module P = Algorithms.Policy in
+    let both f g view ~time x =
+      f view ~time x;
+      g view ~time x
+    in
+    {
+      policy with
+      P.on_release = both policy.P.on_release loop.P.on_release;
+      on_start = both policy.P.on_start loop.P.on_start;
+      on_fault = both policy.P.on_fault loop.P.on_fault;
+      on_endow = both policy.P.on_endow loop.P.on_endow;
+      select =
+        (fun view ~time ->
+          if Cluster.sole_waiting view.P.cluster < 0 then begin
+            incr checks;
+            let got = Algorithms.Rand.contributions_scaled st ~time in
+            let want = loop_phi2 ~time in
+            if
+              not
+                (Array.for_all2
+                   (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+                   got want)
+            then incr mismatches
+          end;
+          policy.P.select view ~time);
+    }
+  in
+  ignore
+    (Driver.run ~faults ~federation ~instance
+       ~rng:(Fstats.Rng.create ~seed:3) maker);
+  (!checks, !mismatches)
+
+let psi_agrees ~faults ~federation instance =
+  let run maker =
+    (Driver.run ~faults ~federation ~instance
+       ~rng:(Fstats.Rng.create ~seed:3) maker)
+      .Driver.utilities_scaled
+  in
+  run Algorithms.Rand.rand15
+  = run (fun instance ~rng -> fst (loop_rand ~n:15 instance ~rng))
+
+(* Generated instances (k = 2..5, 1–2 machines per org, queues building up
+   so that decisions are contested) with a random fault trace, and
+   optionally the random Lend/Reclaim/Leave/Join trace. *)
+let rand_case_gen ~churn =
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, norgs) -> Printf.sprintf "seed %d, k = %d" seed norgs)
+      QCheck.Gen.(pair (int_range 0 100_000) (int_range 2 5))
+  in
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "rand-15 φ̂ and ψsp = per-decision loop (%s)"
+         (if churn then "faults + endowments" else "faults"))
+    ~count:25 arb
+    (fun (seed, norgs) ->
+      let rng = Fstats.Rng.create ~seed in
+      let machines =
+        Array.init norgs (fun _ -> Fstats.Rng.int_in rng ~lo:1 ~hi:2)
+      in
+      let horizon = 80 in
+      let jobs =
+        List.init
+          (Fstats.Rng.int_in rng ~lo:10 ~hi:40)
+          (fun index ->
+            Job.make ~org:(Fstats.Rng.int rng norgs) ~index
+              ~release:(Fstats.Rng.int rng 40)
+              ~size:(Fstats.Rng.int_in rng ~lo:1 ~hi:8)
+              ())
+      in
+      let instance = Instance.make ~machines ~jobs ~horizon in
+      let faults =
+        Faults.Model.random ~rng
+          ~machines:(Instance.total_machines instance)
+          ~horizon
+          ~mtbf:(Faults.Model.Exponential { mean = 20. })
+          ~mttr:(Faults.Model.Exponential { mean = 4. })
+          ()
+      in
+      let federation =
+        if churn then endow_trace rng ~machines ~horizon else []
+      in
+      let checks, mismatches = phi_agrees ~faults ~federation instance in
+      QCheck.assume (checks > 0);
+      mismatches = 0 && psi_agrees ~faults ~federation instance)
+
 (* Alcotest truncates a case name to the terminal width less the widest
    group name, so a group's length changes how every case here prints
    (e.g. "sampled error within bound across se...").  Test listings record
@@ -199,4 +373,7 @@ let () =
           Alcotest.test_case "coefficients match value_scaled" `Quick
             test_coeffs_agree;
         ] );
+      ( "rand-engine",
+        List.map QCheck_alcotest.to_alcotest
+          [ rand_case_gen ~churn:false; rand_case_gen ~churn:true ] );
     ]

@@ -36,6 +36,18 @@ let test_heap_pop_le () =
   Heap.clear h;
   Alcotest.(check bool) "cleared" true (Heap.is_empty h)
 
+let qcheck_int_heap =
+  QCheck.Test.make ~name:"int heap drains any input sorted" ~count:200
+    QCheck.(list small_nat)
+    (fun xs ->
+      let h = Int_heap.create () in
+      List.iter (Int_heap.push h) xs;
+      let rec drain acc =
+        if Int_heap.is_empty h then List.rev acc
+        else drain (Int_heap.pop h :: acc)
+      in
+      drain [] = List.sort compare xs)
+
 let qcheck_heap =
   QCheck.Test.make ~name:"heap drains any input sorted" ~count:200
     QCheck.(list (int_range (-1000) 1000))
@@ -457,6 +469,7 @@ let () =
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "pop_le" `Quick test_heap_pop_le;
           QCheck_alcotest.to_alcotest qcheck_heap;
+          QCheck_alcotest.to_alcotest qcheck_int_heap;
         ] );
       ( "job-instance",
         [

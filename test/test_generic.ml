@@ -116,6 +116,46 @@ let test_ref_generic_other_utility_runs () =
           ~all_jobs:(Array.to_list instance.Instance.jobs)
           ~upto:instance.Instance.horizon))
 
+let test_ref_generic_federated () =
+  (* Lends and reclaims move machines between the sub-coalitions' what-if
+     schedules (federated simulators); the driver's schedule stays a
+     feasible greedy one and is bit-identical across worker counts. *)
+  let module FE = Federation.Event in
+  let federation =
+    Federation.Model.scripted
+      [
+        { FE.time = 5; event = FE.Lend { org = 0; to_org = 1; machines = [ 0 ] } };
+        { FE.time = 12; event = FE.Lend { org = 2; to_org = 0; machines = [ 2 ] } };
+        { FE.time = 20; event = FE.Reclaim { org = 0; machines = [ 0 ] } };
+        { FE.time = 33; event = FE.Reclaim { org = 2; machines = [ 2 ] } };
+      ]
+  in
+  for seed = 1 to 4 do
+    let instance = random_instance ~seed:(200 + seed) in
+    let run workers =
+      Sim.Driver.run ~workers ~federation ~instance
+        ~rng:(Fstats.Rng.create ~seed:1)
+        (Algorithms.Registry.find_exn "ref-generic-psp")
+    in
+    let seq = run 1 and par = run 2 in
+    let sched = seq.Sim.Driver.schedule in
+    Alcotest.(check bool) "feasible" true
+      (Result.is_ok (Schedule.check_feasible sched));
+    Alcotest.(check bool) "greedy" true
+      (Result.is_ok
+         (Schedule.check_greedy sched
+            ~all_jobs:(Array.to_list instance.Instance.jobs)
+            ~upto:instance.Instance.horizon));
+    (* The driver applies each event once; the sub-coalitions' sims add
+       their own replays to the merged counters. *)
+    Alcotest.(check bool) "sub-coalitions replay the endowments" true
+      (seq.Sim.Driver.stats.Kernel.Stats.endow_events > List.length federation);
+    Alcotest.(check (array int)) "utilities across workers"
+      seq.Sim.Driver.utilities_scaled par.Sim.Driver.utilities_scaled;
+    Alcotest.(check bool) "placements across workers" true
+      (Schedule.placements sched = Schedule.placements par.Sim.Driver.schedule)
+  done
+
 (* --- Gantt -------------------------------------------------------------------- *)
 
 let test_gantt () =
@@ -152,6 +192,8 @@ let () =
             test_ref_generic_close_to_ref;
           Alcotest.test_case "alternative utility runs" `Quick
             test_ref_generic_other_utility_runs;
+          Alcotest.test_case "federated, identical across workers" `Quick
+            test_ref_generic_federated;
         ] );
       ( "gantt",
         [

@@ -1,7 +1,8 @@
 (* Differential property test of the REF engine: the domain-parallel
    size-staged engine must be BIT-identical to strictly sequential
    execution — same schedule, same utility vectors, zero Δψ between the two
-   runs — for both fairness concepts, with and without machine speeds.
+   runs — for both fairness concepts and for the generic Fig. 1 REF, with
+   and without machine speeds.
    This is the determinism guarantee of DESIGN.md, "Performance
    engineering", checked end-to-end through the driver.
 
@@ -50,10 +51,8 @@ let instance_gen =
   in
   (arb, make)
 
-let run ~workers ~concept instance =
-  Sim.Driver.run ~workers ~instance
-    ~rng:(Fstats.Rng.create ~seed:3)
-    (Algorithms.Reference.make ~concept ())
+let run ~workers maker instance =
+  Sim.Driver.run ~workers ~instance ~rng:(Fstats.Rng.create ~seed:3) maker
 
 let same_schedule a b =
   (* The recorded placement lists must match exactly (machine ids
@@ -61,9 +60,9 @@ let same_schedule a b =
   Schedule.machines a = Schedule.machines b
   && Schedule.placements a = Schedule.placements b
 
-let identical_runs ~concept instance =
-  let seq = run ~workers:1 ~concept instance in
-  let par = run ~workers:4 ~concept instance in
+let identical_runs maker instance =
+  let seq = run ~workers:1 maker instance in
+  let par = run ~workers:4 maker instance in
   let delta, ratio = Sim.Fairness.delta_ratio ~reference:seq par in
   seq.Sim.Driver.utilities_scaled = par.Sim.Driver.utilities_scaled
   && seq.Sim.Driver.parts = par.Sim.Driver.parts
@@ -72,12 +71,14 @@ let identical_runs ~concept instance =
   && delta = 0
   && ratio = 0.
 
-let differential_property ~concept ~name =
+let differential_property ?(count = 40) maker ~name =
   let arb, make = instance_gen in
   QCheck.Test.make
     ~name:(Printf.sprintf "parallel REF bit-identical to sequential (%s)" name)
-    ~count:40 arb
-    (fun raw -> identical_runs ~concept (make raw))
+    ~count arb
+    (fun raw -> identical_runs maker (make raw))
+
+let ref_concept concept = Algorithms.Reference.make ~concept ()
 
 (* Deterministic spot checks at a larger scale than the random draws — the
    exact configuration the ref_scaling bench times. *)
@@ -93,7 +94,7 @@ let test_scenario_identical () =
       Alcotest.(check bool)
         (Printf.sprintf "k=%d scenario" k)
         true
-        (identical_runs ~concept:Algorithms.Reference.Shapley_value instance))
+        (identical_runs Algorithms.Reference.reference instance))
     [ 3; 5 ]
 
 (* --- lazy φ: the dense walk against the canonical one --------------------- *)
@@ -240,9 +241,14 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             differential_property
-              ~concept:Algorithms.Reference.Shapley_value ~name:"shapley";
+              (ref_concept Algorithms.Reference.Shapley_value)
+              ~name:"shapley";
             differential_property
-              ~concept:Algorithms.Reference.Banzhaf_value ~name:"banzhaf";
+              (ref_concept Algorithms.Reference.Banzhaf_value)
+              ~name:"banzhaf";
+            (* The generic Fig. 1 REF runs on the same coalition engine. *)
+            differential_property ~count:20 Algorithms.Ref_generic.ref_psp
+              ~name:"ref-generic-psp";
           ] );
       ( "scenario",
         [
