@@ -103,7 +103,7 @@ let rec client ep n =
    can tell, which is exactly what the dedupe table is for. *)
 let rec call ep req n =
   if n = 0 then fatal "[%s] request kept failing: %s" ep.d.ctx
-      (Obs.Json.to_string (Service.Protocol.request_to_json req));
+      (String.trim (Service.Protocol.request_to_line req));
   let c = client ep 300 in
   match Service.Client.request ~timeout_s:5.0 c req with
   | Ok (Service.Protocol.Error

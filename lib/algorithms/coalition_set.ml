@@ -264,8 +264,12 @@ let process_instant t ~tau ~n_active ~select ~before_contested =
       staged.(start.(s)) <- slot
     done;
     (* Scheduling rounds, size-ascending (Fig. 1's [for s <- 1 to ||C||]):
-       a round reads only strictly smaller coalitions' values, frozen
-       within the instant, so each size class is one parallel stage. *)
+       a round reads only strictly smaller coalitions' values, so each size
+       class is one parallel stage, and the smaller coalitions' starts at
+       [tau] are in place before a larger one reads them.  The order is
+       invisible to ψsp, cpu-time and neg-flow (a job started at [tau] adds
+       nothing at [tau]) but not to neg-waiting, which counts a start at
+       [tau] at once ({!Utility.Functions.neg_waiting}). *)
     for s = 1 to Array.length start - 2 do
       let lo = start.(s) and hi = start.(s + 1) in
       if hi > lo then begin

@@ -80,9 +80,11 @@ let make_policy ?guarantee ~name ~n instance ~rng =
           | Federation.Event.Leave _ -> decr live_orgs
           | Federation.Event.Lend _ | Federation.Event.Reclaim _ -> ());
           publish_live_budget ();
-          (* The event can retire machines mid-instant; drop the memo so
-             the estimate re-derives once the sims replay it. *)
-          phi_stamp := min_int;
+          (* Every endowment at [time] is delivered before any select at
+             [time] (the kernel's within-instant order in batch, the
+             admission frontier in the daemon), so the memo is stale
+             already and the next select re-derives it. *)
+          assert (!phi_stamp < time);
           Coalition_set.add_endow set { Federation.Event.time; event }
         end)
       ~on_start:(fun _view ~time p ->

@@ -327,15 +327,11 @@ let make_with_internals ?(name = "ref") ?concept ?workers ?max_restarts ()
           | Federation.Event.Leave { org } ->
               st.consortium <- Coalition.remove st.consortium org
           | Federation.Event.Lend _ | Federation.Event.Reclaim _ -> ());
-          (* The event can retire machines and kill their jobs at this very
-             instant, and it may change the consortium mask the top-level φ
-             walks over; drop the per-instant memo stamps so every value is
-             re-derived after the sims replay the event.  Recomputation is
-             bit-exact (every value is an O(1) polynomial read), so this
-             only costs time, and endowments are rare next to
-             completions. *)
-          Array.fill st.v2_stamp 0 (Array.length st.v2_stamp) min_int;
-          Array.fill st.phi2_stamp 0 (Array.length st.phi2_stamp) min_int;
+          (* Every endowment at [time] is delivered before any select at
+             [time] (the kernel's within-instant order in batch, the
+             admission frontier in the daemon), so every memo stamp is
+             below [time] already and the next select re-derives the
+             values the event changed. *)
           Coalition_set.add_endow st.set { Federation.Event.time; event }
         end)
       ~on_start:(fun _view ~time p ->

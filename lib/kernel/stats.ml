@@ -67,57 +67,37 @@ let pp ppf t =
     t.instants t.completions t.fault_events t.endow_events t.kills t.abandoned
     t.wasted t.releases t.rounds t.starts t.heap_pops
 
-let fields t =
-  [
-    ("instants", t.instants);
-    ("completions", t.completions);
-    ("fault_events", t.fault_events);
-    ("endow_events", t.endow_events);
-    ("kills", t.kills);
-    ("abandoned", t.abandoned);
-    ("wasted", t.wasted);
-    ("releases", t.releases);
-    ("rounds", t.rounds);
-    ("starts", t.starts);
-    ("heap_pops", t.heap_pops);
-  ]
+(* Absent [endow_events] reads as 0: snapshots and replies written before
+   the federation layer have no such field. *)
+let codec =
+  let open Obs.Json.Codec in
+  let style name = function
+    | Missing -> Printf.sprintf "missing field %S" name
+    | Expected what -> Printf.sprintf "field %S is not %s" name what
+    | p -> field_style "" name p
+  in
+  obj ~style
+    [
+      req "instants" int;
+      req "completions" int;
+      req "fault_events" int;
+      dft "endow_events" int 0;
+      req "kills" int;
+      req "abandoned" int;
+      req "wasted" int;
+      req "releases" int;
+      req "rounds" int;
+      req "starts" int;
+      req "heap_pops" int;
+    ]
+    (fun instants completions fault_events endow_events kills abandoned wasted
+         releases rounds starts heap_pops ->
+      { instants; completions; fault_events; endow_events; kills; abandoned;
+        wasted; releases; rounds; starts; heap_pops })
+    (fun t ->
+      [ t.instants; t.completions; t.fault_events; t.endow_events; t.kills;
+        t.abandoned; t.wasted; t.releases; t.rounds; t.starts; t.heap_pops ])
 
-let json t = Obs.Json.Obj (List.map (fun (k, v) -> (k, Obs.Json.Int v)) (fields t))
+let json = Obs.Json.Codec.encode codec
 let to_json t = Obs.Json.to_string (json t)
-
-let of_json j =
-  let field name =
-    match Obs.Json.member j name with
-    | Some (Obs.Json.Int v) -> Ok v
-    | Some _ -> Error (Printf.sprintf "field %S is not an integer" name)
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let ( let* ) = Result.bind in
-  let* instants = field "instants" in
-  let* completions = field "completions" in
-  let* fault_events = field "fault_events" in
-  (* Absent in snapshots written before the federation layer existed. *)
-  let endow_events =
-    match field "endow_events" with Ok v -> v | Error _ -> 0
-  in
-  let* kills = field "kills" in
-  let* abandoned = field "abandoned" in
-  let* wasted = field "wasted" in
-  let* releases = field "releases" in
-  let* rounds = field "rounds" in
-  let* starts = field "starts" in
-  let* heap_pops = field "heap_pops" in
-  Ok
-    {
-      instants;
-      completions;
-      fault_events;
-      endow_events;
-      kills;
-      abandoned;
-      wasted;
-      releases;
-      rounds;
-      starts;
-      heap_pops;
-    }
+let of_json = Obs.Json.Codec.decode codec

@@ -37,8 +37,11 @@ val total : t list -> t
 
 val pp : Format.formatter -> t -> unit
 
+val codec : t Obs.Json.Codec.obj
+(** One flat JSON object, keys matching the field names.  An absent
+    [endow_events] reads as 0; a wrong-typed one is an error. *)
+
 val json : t -> Obs.Json.t
-(** One flat JSON object, keys matching the field names. *)
 
 val to_json : t -> string
 (** [json] serialized (via {!Obs.Json}, so always well-formed). *)

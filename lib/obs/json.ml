@@ -315,3 +315,211 @@ let get_number = function
   | Int i -> Some (float_of_int i)
   | Float f -> Some f
   | _ -> None
+
+(* --- codecs ------------------------------------------------------------- *)
+
+module Codec = struct
+  type json = t
+
+  type problem =
+    | Missing
+    | Expected of string
+    | Says of string
+    | Failed of string
+
+  type style = string -> problem -> string
+
+  let field_style prefix name = function
+    | Missing -> Printf.sprintf "%sfield %S missing" prefix name
+    | Expected what -> Printf.sprintf "%sfield %S must be %s" prefix name what
+    | Says phrase -> Printf.sprintf "%sfield %S %s" prefix name phrase
+    | Failed msg -> msg
+
+  let report st name = function Failed msg -> msg | p -> st name p
+
+  type members = (string * json) list
+
+  (* [absent] is what a required member reports when it is missing. *)
+  type 'a t = {
+    enc : 'a -> json;
+    dec : style -> json -> ('a, problem) result;
+    absent : problem;
+  }
+
+  (* [push] conses the members, in order, onto a reversed accumulator;
+     [read] takes the style it inherits, unless the object has its own. *)
+  type 'a obj = {
+    push : 'a -> members -> members;
+    read : style -> members -> ('a, string) result;
+  }
+
+  let scalar what enc project =
+    let dec _ j = Option.to_result ~none:(Expected what) (project j) in
+    { enc; dec; absent = Missing }
+
+  let int =
+    scalar "an integer" (fun v -> Int v) (function Int v -> Some v | _ -> None)
+
+  let bool =
+    scalar "a boolean" (fun b -> Bool b) (function Bool b -> Some b | _ -> None)
+
+  let string =
+    scalar "a string"
+      (fun s -> String s)
+      (function String s -> Some s | _ -> None)
+
+  let number =
+    scalar "numeric"
+      (fun f -> Float f)
+      (function Int i -> Some (float_of_int i) | Float f -> Some f | _ -> None)
+
+  let any = scalar "" Fun.id Option.some
+
+  let list ?(not_list = Expected "a list") c =
+    let rec items st acc = function
+      | [] -> Ok (List.rev acc)
+      | j :: rest -> (
+          match c.dec st j with
+          | Ok v -> items st (v :: acc) rest
+          | Error _ as e -> e)
+    in
+    let dec st = function List js -> items st [] js | _ -> Error not_list in
+    { enc = (fun vs -> List (List.map c.enc vs)); dec; absent = not_list }
+
+  let array ?not_list c =
+    let l = list ?not_list c in
+    {
+      l with
+      enc = (fun a -> l.enc (Array.to_list a));
+      dec = (fun st j -> Result.map Array.of_list (l.dec st j));
+    }
+
+  let fails_as p c =
+    { c with dec = (fun st j -> Result.map_error (fun _ -> p) (c.dec st j)); absent = p }
+
+  let absent_as p c = { c with absent = p }
+
+  let check ok p c =
+    let dec st j = Result.bind (c.dec st j) (fun v -> if ok v then Ok v else Error p) in
+    { c with dec }
+
+  let int_array =
+    array ~not_list:(Says "missing or not a list")
+      (fails_as (Expected "a list of integers") int)
+
+  let enum ?(unknown = fun _ -> Expected "a known name") table =
+    let dec st j =
+      Result.bind (string.dec st j) (fun s ->
+          Option.to_result ~none:(unknown s) (List.assoc_opt s table))
+    in
+    let enc v = String (fst (List.find (fun (_, v') -> v' = v) table)) in
+    { enc; dec; absent = Missing }
+
+  let members = function Obj m -> m | _ -> []
+
+  let value o =
+    let dec st j = Result.map_error (fun msg -> Failed msg) (o.read st (members j)) in
+    { enc = (fun v -> Obj (List.rev (o.push v []))); dec; absent = Missing }
+
+  (* --- members --- *)
+
+  type 'a field =
+    | Mem of { name : string; codec : 'a t; default : 'a option; omit : bool }
+    | Flat of { obj : 'a obj; omit : 'a option }
+
+  let req name codec = Mem { name; codec; default = None; omit = false }
+
+  let dft ?(omit = false) name codec default =
+    Mem { name; codec; default = Some default; omit }
+
+  let opt name c =
+    let dec st j = Result.map Option.some (c.dec st j) in
+    let enc = function Some v -> c.enc v | None -> Null in
+    Mem { name; codec = { c with enc; dec }; default = Some None; omit = true }
+
+  let flat ?omit obj = Flat { obj; omit }
+
+  let push_field : type a. a field -> a -> members -> members =
+   fun f v acc ->
+    match f with
+    | Mem { omit = true; default = Some d; _ } when v = d -> acc
+    | Mem { name; codec; _ } -> (name, codec.enc v) :: acc
+    | Flat { omit = Some d; _ } when v = d -> acc
+    | Flat { obj; _ } -> obj.push v acc
+
+  let read_field : type a. a field -> style -> members -> (a, string) result =
+   fun f st m ->
+    match f with
+    | Flat { obj; _ } -> obj.read st m
+    | Mem { name; codec; default; _ } -> (
+        let fail p = Error (report st name p) in
+        match (List.assoc_opt name m, default) with
+        | Some j, _ -> Result.fold ~ok:Result.ok ~error:fail (codec.dec st j)
+        | None, Some d -> Ok d
+        | None, None -> fail codec.absent)
+
+  type ('f, 'r) fields =
+    | [] : ('r, 'r) fields
+    | ( :: ) : 'a field * ('f, 'r) fields -> ('a -> 'f, 'r) fields
+
+  type ('f, 'r) values =
+    | [] : ('r, 'r) values
+    | ( :: ) : 'a * ('f, 'r) values -> ('a -> 'f, 'r) values
+
+  let rec push_fields :
+      type f r. (f, r) fields -> (f, r) values -> members -> members =
+   fun fields vals acc ->
+    match (fields, vals) with
+    | [], [] -> acc
+    | f :: fs, v :: vs -> push_fields fs vs (push_field f v acc)
+    | _ -> invalid_arg "Json.Codec: field and value lists differ in length"
+
+  let rec read_fields :
+      type f r. (f, r) fields -> f -> style -> members -> (r, string) result =
+   fun fields k st m ->
+    match fields with
+    | [] -> Ok k
+    | f :: fs -> Result.bind (read_field f st m) (fun v -> read_fields fs (k v) st m)
+
+  let own style st = Option.value style ~default:st
+
+  let obj ?style fields make proj =
+    {
+      push = (fun v acc -> push_fields fields (proj v) acc);
+      read = (fun st m -> read_fields fields make (own style st) m);
+    }
+
+  let validate finish o =
+    { o with read = (fun st m -> Result.bind (o.read st m) finish) }
+
+  type ('tag, 'a) case =
+    | Case : {
+        tag : 'tag;
+        fields : ('f, 'a) fields;
+        make : 'f;
+        proj : 'a -> ('f, 'a) values option;
+      }
+        -> ('tag, 'a) case
+
+  let case tag fields make proj = Case { tag; fields; make; proj }
+
+  let variant ?style ?(unknown = fun _ -> Expected "a known tag") key tag cases =
+    let rec push v acc : (_, _) case list -> _ = function
+      | [] -> invalid_arg ("Json.Codec.variant: no case for this " ^ key)
+      | Case c :: rest -> (
+          match c.proj v with
+          | Some vals -> push_fields c.fields vals ((key, tag.enc c.tag) :: acc)
+          | None -> push v acc rest)
+    in
+    let read st m =
+      let st = own style st in
+      Result.bind (read_field (req key tag) st m) (fun t ->
+          match List.find_opt (fun (Case c) -> c.tag = t) cases with
+          | Some (Case c) -> read_fields c.fields c.make st m
+          | None -> Error (report st key (unknown t)))
+    in
+    { push = (fun v acc -> push v acc cases); read }
+
+  let encode o v = Obj (List.rev (o.push v []))
+  let decode o j = o.read (field_style "") (members j)
+end

@@ -75,3 +75,127 @@ val get_list : t -> t list option
 
 val get_number : t -> float option
 (** [Int] or [Float] payload as a float. *)
+
+(** {1 Codecs}
+
+    One declaration per object type gives both its encoder and its
+    decoder: the members are listed once, in emission order, and
+    {!Codec.decode} reads them in that same order, so the two directions
+    cannot drift apart.
+
+    {[
+      let point =
+        Codec.(obj [ req "x" int; dft ~omit:true "label" string "" ]
+                 (fun x label -> { x; label })
+                 (fun p -> [ p.x; p.label ]))
+    ]}
+
+    Decoders never raise.  A value that is not an object reads as an
+    object without members. *)
+
+module Codec : sig
+  type json := t
+
+  (** What is wrong with one member; its object's {!style} phrases it. *)
+  type problem =
+    | Missing  (** a required member is absent *)
+    | Expected of string  (** the member holds the wrong kind of value *)
+    | Says of string  (** a phrase of its own after the member's name *)
+    | Failed of string  (** a complete message, reported unchanged *)
+
+  type style = string -> problem -> string
+  (** Phrases a problem of the named member. *)
+
+  val field_style : string -> style
+  (** [field_style prefix]: [<prefix>field "m" missing], [<prefix>field
+      "m" must be <what>], [<prefix>field "m" <phrase>].  An object
+      without a style of its own uses its parent's; the top uses
+      [field_style ""]. *)
+
+  (** {2 Values} *)
+
+  type 'a t
+
+  val int : int t
+  val bool : bool t
+  val string : string t
+
+  val number : float t
+  (** Emits a [Float]; reads an [Int] or a [Float]. *)
+
+  val any : json t
+
+  val list : ?not_list:problem -> 'a t -> 'a list t
+  (** [not_list] (default [Expected "a list"]) is reported for a non-list
+      and for a missing required member; an item's problem as is. *)
+
+  val array : ?not_list:problem -> 'a t -> 'a array t
+
+  val int_array : int array t
+  (** [missing or not a list]; [must be a list of integers] for a bad item. *)
+
+  val enum : ?unknown:(string -> problem) -> (string * 'a) list -> 'a t
+
+  val check : ('a -> bool) -> problem -> 'a t -> 'a t
+  (** Reject decoded values that fail the predicate. *)
+
+  val fails_as : problem -> 'a t -> 'a t
+  (** Report every failure, absence included, as the one problem. *)
+
+  val absent_as : problem -> 'a t -> 'a t
+
+  (** {2 Objects} *)
+
+  type 'a obj
+
+  val value : 'a obj -> 'a t
+  (** The object nested under a member; its messages pass unchanged. *)
+
+  type 'a field
+
+  val req : string -> 'a t -> 'a field
+
+  val dft : ?omit:bool -> string -> 'a t -> 'a -> 'a field
+  (** Reads as the default when absent; with [omit] (default false) it is
+      left out while it holds the default. *)
+
+  val opt : string -> 'a t -> 'a option field
+  (** Absent exactly when [None]. *)
+
+  val flat : ?omit:'a -> 'a obj -> 'a field
+  (** Another object's members, spliced in; left out while equal to
+      [omit]. *)
+
+  type ('f, 'r) fields =
+    | [] : ('r, 'r) fields
+    | ( :: ) : 'a field * ('f, 'r) fields -> ('a -> 'f, 'r) fields
+
+  type ('f, 'r) values =
+    | [] : ('r, 'r) values
+    | ( :: ) : 'a * ('f, 'r) values -> ('a -> 'f, 'r) values
+
+  val obj :
+    ?style:style -> ('f, 'r) fields -> 'f -> ('r -> ('f, 'r) values) -> 'r obj
+  (** [obj fields make proj]: decoding applies [make] to the members in
+      order; encoding writes [proj v], one value per member. *)
+
+  val validate : ('a -> ('a, string) result) -> 'a obj -> 'a obj
+  (** A check that can fail, run after a successful decode. *)
+
+  type ('tag, 'a) case
+
+  val case :
+    'tag -> ('f, 'a) fields -> 'f -> ('a -> ('f, 'a) values option) ->
+    ('tag, 'a) case
+  (** Like {!obj}; [proj] answers [None] for other cases' values. *)
+
+  val variant :
+    ?style:style -> ?unknown:('tag -> problem) -> string -> 'tag t ->
+    ('tag, 'a) case list -> 'a obj
+  (** [variant key tag cases] writes the discriminator [key] first, then
+      the members of the first case whose [proj] answers.  [unknown]
+      (default [Expected "a known tag"]) is a tag no case has. *)
+
+  val encode : 'a obj -> 'a -> json
+  val decode : 'a obj -> json -> ('a, string) result
+end

@@ -204,6 +204,13 @@ type summary = {
   max : float;
 }
 
+let summary_codec =
+  let open Json.Codec in
+  obj
+    [ req "count" int; req "p50" number; req "p90" number; req "p99" number; req "max" number ]
+    (fun count p50 p90 p99 max -> { count; p50; p90; p99; max })
+    (fun s -> [ s.count; s.p50; s.p90; s.p99; s.max ])
+
 type value = Counter of int | Gauge of float | Histogram of summary
 type snapshot = (string * value) list
 
@@ -239,15 +246,7 @@ let to_json () =
            match v with
            | Counter n -> Json.Int n
            | Gauge v -> Json.Float v
-           | Histogram s ->
-               Json.Obj
-                 [
-                   ("count", Json.Int s.count);
-                   ("p50", Json.Float s.p50);
-                   ("p90", Json.Float s.p90);
-                   ("p99", Json.Float s.p99);
-                   ("max", Json.Float s.max);
-                 ] ))
+           | Histogram s -> Json.Codec.encode summary_codec s ))
        (snapshot ()))
 
 let pp ppf () =

@@ -59,6 +59,10 @@ type summary = {
     rounding of a fractional observation up to an integer); [max] is
     exact. *)
 
+val summary_codec : summary Json.Codec.obj
+(** [{"count":..,"p50":..,"p90":..,"p99":..,"max":..}], the shape of a
+    histogram in {!to_json}, in [status] replies and in load reports. *)
+
 type value = Counter of int | Gauge of float | Histogram of summary
 type snapshot = (string * value) list
 

@@ -77,98 +77,38 @@ let empty_instance t =
       Core.Instance.make_related ~speeds ~machines:t.machines ~jobs:[]
         ~horizon:t.horizon
 
-let to_json t =
-  let open Obs.Json in
-  Obj
-    (List.concat
-       [
-         [
-           ("machines", List (Array.to_list (Array.map (fun m -> Int m) t.machines)));
-         ];
-         (match t.speeds with
-         | None -> []
-         | Some sp ->
-             [ ("speeds", List (Array.to_list (Array.map (fun s -> Float s) sp))) ]);
-         [
-           ("horizon", Int t.horizon);
-           ("algorithm", String t.algorithm);
-           ("seed", Int t.seed);
-         ];
-         (match t.max_restarts with
-         | None -> []
-         | Some r -> [ ("max_restarts", Int r) ]);
-         (match t.workers with
-         | None -> []
-         | Some w -> [ ("workers", Int w) ]);
-         (* omitted when 1 so single-group WAL headers stay byte-identical
-            with logs written before sharding existed *)
-         (if t.groups = 1 then [] else [ ("groups", Int t.groups) ]);
-         (* same discipline: only federated daemons mark their headers *)
-         (if t.federated then [ ("federated", Bool true) ] else []);
-       ])
+(* [groups] is omitted when 1 so single-group WAL headers stay
+   byte-identical with logs written before sharding existed; only
+   federated daemons mark their headers.  Decoding re-runs [make]'s
+   validation. *)
+let codec =
+  let open Obs.Json.Codec in
+  obj ~style:(field_style "config ")
+    [
+      req "machines" int_array;
+      opt "speeds" (array number);
+      req "horizon" int;
+      req "algorithm" (fails_as Missing string);
+      req "seed" int;
+      opt "max_restarts" int;
+      opt "workers" int;
+      dft ~omit:true "groups" int 1;
+      dft ~omit:true "federated" bool false;
+    ]
+    (fun machines speeds horizon algorithm seed max_restarts workers groups
+         federated ->
+      { machines; speeds; horizon; algorithm; seed; max_restarts; workers;
+        groups; federated })
+    (fun t ->
+      [ t.machines; t.speeds; t.horizon; t.algorithm; t.seed; t.max_restarts;
+        t.workers; t.groups; t.federated ])
+  |> validate (fun t ->
+         make ?speeds:t.speeds ?max_restarts:t.max_restarts ?workers:t.workers
+           ~groups:t.groups ~federated:t.federated ~machines:t.machines
+           ~horizon:t.horizon ~algorithm:t.algorithm ~seed:t.seed ())
 
-let int_field j name =
-  match Obs.Json.member j name with
-  | Some (Obs.Json.Int v) -> Ok v
-  | Some _ -> Error (Printf.sprintf "config field %S must be an integer" name)
-  | None -> Error (Printf.sprintf "config field %S missing" name)
-
-let opt_int_field j name =
-  match Obs.Json.member j name with
-  | None -> Ok None
-  | Some (Obs.Json.Int v) -> Ok (Some v)
-  | Some _ -> Error (Printf.sprintf "config field %S must be an integer" name)
-
-let of_json j =
-  let ( let* ) = Result.bind in
-  let* machines =
-    match Obs.Json.member j "machines" with
-    | Some (Obs.Json.List items) ->
-        let rec go acc = function
-          | [] -> Ok (Array.of_list (List.rev acc))
-          | Obs.Json.Int m :: rest -> go (m :: acc) rest
-          | _ -> Error "config field \"machines\" must be a list of integers"
-        in
-        go [] items
-    | Some _ | None -> Error "config field \"machines\" missing or not a list"
-  in
-  let* speeds =
-    match Obs.Json.member j "speeds" with
-    | None -> Ok None
-    | Some (Obs.Json.List items) ->
-        let rec go acc = function
-          | [] -> Ok (Some (Array.of_list (List.rev acc)))
-          | item :: rest -> (
-              match Obs.Json.get_number item with
-              | Some f -> go (f :: acc) rest
-              | None -> Error "config field \"speeds\" must be numeric")
-        in
-        go [] items
-    | Some _ -> Error "config field \"speeds\" must be a list"
-  in
-  let* horizon = int_field j "horizon" in
-  let* algorithm =
-    match Obs.Json.member j "algorithm" with
-    | Some (Obs.Json.String s) -> Ok s
-    | Some _ | None -> Error "config field \"algorithm\" missing"
-  in
-  let* seed = int_field j "seed" in
-  let* max_restarts = opt_int_field j "max_restarts" in
-  let* workers = opt_int_field j "workers" in
-  let* groups =
-    match opt_int_field j "groups" with
-    | Ok None -> Ok 1
-    | Ok (Some g) -> Ok g
-    | Error e -> Error e
-  in
-  let* federated =
-    match Obs.Json.member j "federated" with
-    | None -> Ok false
-    | Some (Obs.Json.Bool b) -> Ok b
-    | Some _ -> Error "config field \"federated\" must be a boolean"
-  in
-  make ?speeds ?max_restarts ?workers ~groups ~federated ~machines ~horizon
-    ~algorithm ~seed ()
+let to_json = Obs.Json.Codec.encode codec
+let of_json = Obs.Json.Codec.decode codec
 
 let equal a b =
   a.machines = b.machines && a.speeds = b.speeds && a.horizon = b.horizon

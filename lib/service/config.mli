@@ -57,9 +57,13 @@ val total_machines : t -> int
 val empty_instance : t -> Core.Instance.t
 (** The job-less instance a fresh session starts from. *)
 
+val codec : t Obs.Json.Codec.obj
+(** The JSON object of the WAL header and of snapshots.  Decoding re-runs
+    the {!make} validation. *)
+
 val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> (t, string) result
-(** Inverse of {!to_json}, re-running the {!make} validation. *)
+(** Inverse of {!to_json}. *)
 
 val equal : t -> t -> bool
 (** Structural equality of the durable identity — [workers] excluded: a

@@ -424,15 +424,7 @@ let run cfg =
           })
   end
 
-let summary_json (s : Obs.Metrics.summary) =
-  Obs.Json.Obj
-    [
-      ("count", Obs.Json.Int s.Obs.Metrics.count);
-      ("p50", Obs.Json.Float s.Obs.Metrics.p50);
-      ("p90", Obs.Json.Float s.Obs.Metrics.p90);
-      ("p99", Obs.Json.Float s.Obs.Metrics.p99);
-      ("max", Obs.Json.Float s.Obs.Metrics.max);
-    ]
+let summary_json = Obs.Json.Codec.encode Obs.Metrics.summary_codec
 
 let report_to_json r =
   let open Obs.Json in

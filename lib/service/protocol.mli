@@ -4,7 +4,9 @@
 
     Requests carry an ["op"] discriminator; responses carry ["ok"]
     (boolean) and echo the op.  The full grammar is documented in
-    DESIGN.md §12.  Both sides parse with {!Obs.Json.parse} under
+    DESIGN.md §12.  Every type is declared once, as an {!Obs.Json.Codec}
+    member list (see {!request} and {!response}), and both the encoder and
+    the decoder come from it.  Both sides parse with {!Obs.Json.parse} under
     {!wire_limits}: socket bytes are untrusted, so depth and size are
     bounded and a malformed line yields an [Error {code = Parse; _}]
     response rather than a dead connection. *)
@@ -139,20 +141,34 @@ type response =
           well-behaved client should wait before retrying *)
 
 val error_code_to_string : error_code -> string
-val error_code_of_string : string -> error_code option
 
-(** {2 Endowment-event wire encoding}
+(** {2 Codecs}
 
-    Shared by the [endow] request and the WAL's [Endow] record so the
+    Each wire type is declared once, as an {!Obs.Json.Codec} member list
+    in emission order; the encoder and the decoder both come from it.
+    The WAL's records reuse the stamp and event codecs below, so the
     socket and the log cannot drift. *)
 
-val endow_event_fields : Federation.Event.t -> (string * Obs.Json.t) list
-val endow_event_of_json : Obs.Json.t -> (Federation.Event.t, string) result
+val client : (int * int) Obs.Json.Codec.field
+(** [(cid, cseq)], omitted from the wire while both are 0. *)
 
-(** {2 Requests} *)
+val fault_event :
+  ?kind:string Obs.Json.Codec.t ->
+  ?unknown:(string -> Obs.Json.Codec.problem) ->
+  unit ->
+  Faults.Event.t Obs.Json.Codec.obj
+(** ["kind"] fail|recover and ["machine"]; [kind] and [unknown] let the
+    WAL phrase a bad kind its own way. *)
 
-val request_to_json : request -> Obs.Json.t
-val request_of_json : Obs.Json.t -> (request, string) result
+val endow_event : Federation.Event.t Obs.Json.Codec.obj
+(** ["kind"] join|leave|lend|reclaim, ["org"], ["to_org"] (lend) and
+    ["machines"] (omitted when empty — a readmit-all join). *)
+
+val request : request Obs.Json.Codec.obj
+val response : response Obs.Json.Codec.obj
+
+(** {2 Lines} *)
+
 val request_to_line : request -> string
 (** One compact JSON document, newline-terminated. *)
 
@@ -160,9 +176,5 @@ val request_of_line : string -> (request, string) result
 (** Parse one line (without requiring the trailing newline) under
     {!wire_limits}. *)
 
-(** {2 Responses} *)
-
-val response_to_json : response -> Obs.Json.t
-val response_of_json : Obs.Json.t -> (response, string) result
 val response_to_line : response -> string
 val response_of_line : string -> (response, string) result

@@ -48,106 +48,67 @@ open Obs.Json
 
 let ( let* ) = Result.bind
 
-(* cid/cseq are omitted when zero so logs written before idempotent
-   retransmission existed (and anonymous clients) stay byte-compatible. *)
-let client_fields cid cseq =
-  if cid = 0 && cseq = 0 then []
-  else [ ("cid", Int cid); ("cseq", Int cseq) ]
+let wal_style = Codec.field_style "WAL "
 
-let record_to_json = function
-  | Submit { seq; org; user; release; size; cid; cseq } ->
-      Obj
-        ([
-           ("rec", String "submit");
-           ("seq", Int seq);
-           ("org", Int org);
-           ("user", Int user);
-           ("release", Int release);
-           ("size", Int size);
-         ]
-        @ client_fields cid cseq)
-  | Fault { seq; time; event; cid; cseq } ->
-      let kind, machine =
-        match event with
-        | Faults.Event.Fail m -> ("fail", m)
-        | Faults.Event.Recover m -> ("recover", m)
-      in
-      Obj
-        ([
-           ("rec", String "fault");
-           ("seq", Int seq);
-           ("time", Int time);
-           ("kind", String kind);
-           ("machine", Int machine);
-         ]
-        @ client_fields cid cseq)
-  | Endow { seq; time; event; cid; cseq } ->
-      (* Same event encoding as the socket (Protocol.endow_event_fields)
-         so the log replays exactly what was fed. *)
-      Obj
-        ((("rec", String "endow") :: ("seq", Int seq) :: ("time", Int time)
-         :: Protocol.endow_event_fields event)
-        @ client_fields cid cseq)
-  | Mode { seq; estimator } ->
-      Obj
+(* Same stamp and event encodings as the socket (Protocol's codecs), so
+   the log replays exactly what was fed; cid/cseq are omitted while zero
+   so logs written before idempotent retransmission (and anonymous
+   clients) stay byte-compatible. *)
+let record =
+  let open Codec in
+  let no_rec = Failed "WAL record missing \"rec\" discriminator" in
+  let bad_kind = Expected "\"fail\" or \"recover\"" in
+  variant ~style:wal_style ~unknown:(fun _ -> no_rec) "rec" (fails_as no_rec string)
+    [
+      case "submit"
         [
-          ("rec", String "mode");
-          ("seq", Int seq);
-          ("estimator", String estimator);
+          req "seq" int;
+          req "org" int;
+          req "user" int;
+          req "release" int;
+          req "size" int;
+          Protocol.client;
         ]
+        (fun seq org user release size (cid, cseq) ->
+          Submit { seq; org; user; release; size; cid; cseq })
+        (function
+          | Submit { seq; org; user; release; size; cid; cseq } ->
+              Some [ seq; org; user; release; size; (cid, cseq) ]
+          | _ -> None);
+      case "fault"
+        [
+          req "seq" int;
+          req "time" int;
+          flat
+            (Protocol.fault_event ~kind:(fails_as bad_kind string)
+               ~unknown:(fun _ -> bad_kind) ());
+          Protocol.client;
+        ]
+        (fun seq time event (cid, cseq) -> Fault { seq; time; event; cid; cseq })
+        (function
+          | Fault { seq; time; event; cid; cseq } ->
+              Some [ seq; time; event; (cid, cseq) ]
+          | _ -> None);
+      case "endow"
+        [ req "seq" int; req "time" int; flat Protocol.endow_event; Protocol.client ]
+        (fun seq time event (cid, cseq) -> Endow { seq; time; event; cid; cseq })
+        (function
+          | Endow { seq; time; event; cid; cseq } ->
+              Some [ seq; time; event; (cid, cseq) ]
+          | _ -> None);
+      case "mode"
+        [
+          req "seq" int;
+          req "estimator"
+            (fails_as (Expected "a non-empty string")
+               (check (fun e -> e <> "") Missing string));
+        ]
+        (fun seq estimator -> Mode { seq; estimator })
+        (function Mode { seq; estimator } -> Some [ seq; estimator ] | _ -> None);
+    ]
 
-let int_field j name =
-  match member j name with
-  | Some (Int v) -> Ok v
-  | Some _ -> Error (Printf.sprintf "WAL field %S must be an integer" name)
-  | None -> Error (Printf.sprintf "WAL field %S missing" name)
-
-let opt_int_field j name ~default =
-  match member j name with
-  | Some (Int v) -> Ok v
-  | Some _ -> Error (Printf.sprintf "WAL field %S must be an integer" name)
-  | None -> Ok default
-
-let record_of_json j =
-  match member j "rec" with
-  | Some (String "submit") ->
-      let* seq = int_field j "seq" in
-      let* org = int_field j "org" in
-      let* user = int_field j "user" in
-      let* release = int_field j "release" in
-      let* size = int_field j "size" in
-      let* cid = opt_int_field j "cid" ~default:0 in
-      let* cseq = opt_int_field j "cseq" ~default:0 in
-      Ok (Submit { seq; org; user; release; size; cid; cseq })
-  | Some (String "fault") ->
-      let* seq = int_field j "seq" in
-      let* time = int_field j "time" in
-      let* machine = int_field j "machine" in
-      let* cid = opt_int_field j "cid" ~default:0 in
-      let* cseq = opt_int_field j "cseq" ~default:0 in
-      let* event =
-        match member j "kind" with
-        | Some (String "fail") -> Ok (Faults.Event.Fail machine)
-        | Some (String "recover") -> Ok (Faults.Event.Recover machine)
-        | _ -> Error "WAL field \"kind\" must be \"fail\" or \"recover\""
-      in
-      Ok (Fault { seq; time; event; cid; cseq })
-  | Some (String "endow") ->
-      let* seq = int_field j "seq" in
-      let* time = int_field j "time" in
-      let* event = Protocol.endow_event_of_json j in
-      let* cid = opt_int_field j "cid" ~default:0 in
-      let* cseq = opt_int_field j "cseq" ~default:0 in
-      Ok (Endow { seq; time; event; cid; cseq })
-  | Some (String "mode") ->
-      let* seq = int_field j "seq" in
-      let* estimator =
-        match member j "estimator" with
-        | Some (String s) when s <> "" -> Ok s
-        | _ -> Error "WAL field \"estimator\" must be a non-empty string"
-      in
-      Ok (Mode { seq; estimator })
-  | _ -> Error "WAL record missing \"rec\" discriminator"
+let record_to_json = Codec.encode record
+let record_of_json = Codec.decode record
 
 let wal_path ~dir = Filename.concat dir "wal.ndjson"
 let snapshot_path ~dir = Filename.concat dir "snapshot.json"
@@ -224,8 +185,16 @@ type writer = {
 
 let wal_magic = "fairsched_wal"
 
-let header_json config =
-  Obj [ (wal_magic, Int 1); ("config", Config.to_json config) ]
+let wal_header =
+  let open Codec in
+  let not_header = Failed "not a fairsched WAL header" in
+  obj ~style:wal_style
+    [
+      req wal_magic (fails_as not_header (check (fun v -> v = 1) not_header int));
+      req "config" (absent_as not_header (value Config.codec));
+    ]
+    (fun _ config -> config)
+    (fun config -> [ 1; config ])
 
 let write_fully ~site fd s =
   let len = String.length s in
@@ -269,7 +238,7 @@ let create ?(site_prefix = "") ~dir ~config () =
           [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
           0o644
       in
-      let header = to_string (header_json config) ^ "\n" in
+      let header = to_string (Codec.encode wal_header config) ^ "\n" in
       write_fully ~site:(site_prefix ^ "wal-header") fd header;
       Chaos.Fs.fsync ~site:(site_prefix ^ "wal-fsync") fd;
       let len = String.length header in
@@ -314,35 +283,19 @@ let close w =
 
 type snapshot = { config : Config.t; last_seq : int; records : record list }
 
-let snapshot_json s =
-  Obj
+(* The magic member is written but, as ever, not checked on reading. *)
+let snapshot =
+  let open Codec in
+  obj ~style:wal_style
     [
-      ("fairsched_snapshot", Int 1);
-      ("config", Config.to_json s.config);
-      ("last_seq", Int s.last_seq);
-      ("records", List (List.map record_to_json s.records));
+      dft "fairsched_snapshot" any (Int 1);
+      req "config" (absent_as (Failed "snapshot missing \"config\"") (value Config.codec));
+      req "last_seq" int;
+      req "records"
+        (list ~not_list:(Failed "snapshot missing \"records\"") (value record));
     ]
-
-let snapshot_of_json j =
-  let* config =
-    match member j "config" with
-    | Some cj -> Config.of_json cj
-    | None -> Error "snapshot missing \"config\""
-  in
-  let* last_seq = int_field j "last_seq" in
-  let* records =
-    match member j "records" with
-    | Some (List items) ->
-        let rec go acc = function
-          | [] -> Ok (List.rev acc)
-          | item :: rest ->
-              let* r = record_of_json item in
-              go (r :: acc) rest
-        in
-        go [] items
-    | Some _ | None -> Error "snapshot missing \"records\""
-  in
-  Ok { config; last_seq; records }
+    (fun _ config last_seq records -> { config; last_seq; records })
+    (fun s -> [ Int 1; s.config; s.last_seq; s.records ])
 
 let write_snapshot ?(site_prefix = "") ~dir s =
   protect_sys (fun () ->
@@ -354,7 +307,7 @@ let write_snapshot ?(site_prefix = "") ~dir s =
           0o644
       in
       write_fully ~site:(site_prefix ^ "snap-write") fd
-        (to_string (snapshot_json s) ^ "\n");
+        (to_string (Codec.encode snapshot s) ^ "\n");
       Chaos.Fs.fsync ~site:(site_prefix ^ "snap-fsync") fd;
       Unix.close fd;
       Chaos.Fs.point (site_prefix ^ "after-snapshot-write");
@@ -462,13 +415,8 @@ let read_wal path =
   | header :: body ->
       let* config =
         match of_string header.l_text with
-        | Ok hj -> (
-            match (member hj wal_magic, member hj "config") with
-            | Some (Int 1), Some cj ->
-                Result.map_error
-                  (fun e -> corrupt path header 1 e)
-                  (Config.of_json cj)
-            | _ -> Error (corrupt path header 1 "not a fairsched WAL header"))
+        | Ok hj ->
+            Result.map_error (corrupt path header 1) (Codec.decode wal_header hj)
         | Error e ->
             Error (corrupt path header 1 (Printf.sprintf "bad WAL header: %s" e))
       in
@@ -483,7 +431,7 @@ let read_snapshot path =
   match of_string (String.trim text) with
   | Error e -> fail e
   | Ok j -> (
-      match snapshot_of_json j with
+      match Codec.decode snapshot j with
       | Error e -> fail e
       | Ok s ->
           (* The same monotonicity law applies inside a snapshot: a bit

@@ -20,6 +20,11 @@
     - [snapshot.json] — the latest snapshot, written to a temp file and
       renamed into place (atomic on POSIX).
 
+    Records, snapshot and header are each declared once as an
+    {!Obs.Json.Codec} member list, which yields both the writer and the
+    reader; the records reuse {!Protocol}'s stamp and event codecs, so a
+    logged request is encoded exactly as it came off the socket.
+
     Every durability-critical syscall goes through {!Chaos.Fs}, so tests
     can fail or tear any write/fsync/rename and die at any named crash
     point deterministically.  Sites used here: [wal-open], [wal-header],
@@ -66,7 +71,7 @@ type record =
     }
       (** an accepted endowment event (consortium membership / machine
           ownership change), encoded on disk exactly as on the wire
-          ({!Protocol.endow_event_fields}); replay feeds it back through
+          ({!Protocol.endow_event}); replay feeds it back through
           {!Online.endow} so recovered ownership is bit-identical *)
   | Mode of { seq : int; estimator : string }
       (** the server switched the live estimator (degraded mode); logged

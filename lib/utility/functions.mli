@@ -12,8 +12,11 @@ open Core
     utility-function ablation can switch between them.
 
     All functions are in maximization form (bigger = better), non-clairvoyant
-    (they only look at executed parts at [at]), and envy-free in the paper's
-    sense (they depend only on the organization's own placements). *)
+    (they only look at jobs started by [at]), and envy-free in the paper's
+    sense (they depend only on the organization's own placements).  Most
+    count only parts executed by [at], so a job started at [at] adds
+    nothing yet; {!neg_waiting} counts its wait from the moment it starts,
+    so a start at [at] already moves its value at [at]. *)
 
 type t = {
   name : string;

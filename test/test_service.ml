@@ -96,6 +96,22 @@ let test_protocol_requests () =
   roundtrip Service.Protocol.Psi;
   roundtrip Service.Protocol.Snapshot;
   roundtrip (Service.Protocol.Drain { detail = true });
+  List.iter
+    (fun event ->
+      roundtrip
+        (Service.Protocol.Endow { time = 4; event; cid = 0; cseq = 0; trace = 0 });
+      roundtrip
+        (Service.Protocol.Endow { time = 4; event; cid = 0; cseq = 6; trace = 2 }))
+    [
+      Federation.Event.Join { org = 1; machines = [] };
+      Federation.Event.Join { org = 1; machines = [ 2; 3 ] };
+      Federation.Event.Leave { org = 0 };
+      Federation.Event.Lend { org = 0; to_org = 2; machines = [ 1 ] };
+      Federation.Event.Reclaim { org = 0; machines = [ 1 ] };
+    ];
+  roundtrip Service.Protocol.Metrics;
+  roundtrip (Service.Protocol.Trace { limit = Service.Protocol.default_trace_limit });
+  roundtrip (Service.Protocol.Trace { limit = 1 });
   (match Service.Protocol.request_of_line "{\"op\":\"nosuch\"}" with
   | Ok _ -> Alcotest.fail "unknown op accepted"
   | Error _ -> ());
@@ -112,6 +128,21 @@ let test_protocol_responses () =
   in
   roundtrip (Service.Protocol.Submit_ok { seq = 4; org = 1; index = 0; now = 3 });
   roundtrip (Service.Protocol.Fault_ok { seq = 5; now = 9 });
+  roundtrip (Service.Protocol.Endow_ok { seq = 6; now = 11 });
+  roundtrip
+    (Service.Protocol.Metrics_ok
+       {
+         metrics =
+           Obs.Json.Obj
+             [ ("server.accepted", Obs.Json.Int 3); ("server.ack_ewma_ms", Obs.Json.Float 0.25) ];
+       });
+  roundtrip
+    (Service.Protocol.Trace_ok
+       {
+         events = 0;
+         dropped = 4;
+         trace = Obs.Json.Obj [ ("traceEvents", Obs.Json.List []) ];
+       });
   roundtrip
     (Service.Protocol.Psi_ok
        { now = 7; psi_scaled = [| 4; 0; 9 |]; parts = [| 2; 0; 3 |] });

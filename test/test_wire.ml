@@ -423,6 +423,11 @@ let malformed =
     ( "stats",
       {|{"instants":0,"completions":0,"fault_events":0,"kills":0,"abandoned":0,"wasted":0,"releases":0,"rounds":0,"starts":0,"heap_pops":1.0}|}
     );
+    (* Absent reads as 0 (pre-federation snapshots); a wrong type is an
+       error. *)
+    ( "stats",
+      {|{"instants":0,"completions":0,"fault_events":0,"endow_events":"x","kills":0,"abandoned":0,"wasted":0,"releases":0,"rounds":0,"starts":0,"heap_pops":0}|}
+    );
     ("snapshot", {|{"fairsched_snapshot":1,"last_seq":0,"records":[]}|});
     ( "snapshot",
       {|{"fairsched_snapshot":1,"config":{"machines":[1],"horizon":9,"algorithm":"fifo","seed":0},"records":[]}|}
@@ -691,6 +696,208 @@ let test_segment () =
       Alcotest.(check bool) "records" true (r.W.r_records = segment_records);
       Alcotest.(check int) "last seq" 8 r.W.r_last_seq
 
+(* --- Generated round-trips ------------------------------------------------ *)
+
+module G = QCheck.Gen
+
+let small = G.int_range (-3) 60
+
+(* (cid, cseq): both zero (omitted), one of them zero, or both set. *)
+let client =
+  G.(frequency
+       [
+         (2, return (0, 0));
+         (1, map (fun c -> (0, c)) small);
+         (1, map (fun c -> (c, 0)) small);
+         (3, pair small small);
+       ])
+
+let trace_id = G.(frequency [ (1, return 0); (1, small) ])
+let text = G.(string_size ~gen:char (int_bound 6))
+let finite = G.(oneof [ float_range (-1e6) 1e6; oneofl [ 0.; 0.1; 1e300; -2.5e-7 ] ])
+
+let fault_event =
+  G.(oneof
+       [
+         map (fun m -> Faults.Event.Fail m) small;
+         map (fun m -> Faults.Event.Recover m) small;
+       ])
+
+let endow_event =
+  let machines = G.(list_size (int_bound 3) small) in
+  G.(oneof
+       [
+         map2 (fun org machines -> Federation.Event.Join { org; machines }) small machines;
+         map (fun org -> Federation.Event.Leave { org }) small;
+         map3
+           (fun org to_org machines -> Federation.Event.Lend { org; to_org; machines })
+           small small machines;
+         map2 (fun org machines -> Federation.Event.Reclaim { org; machines }) small machines;
+       ])
+
+let request =
+  G.(oneof
+       [
+         (let* org = small and* user = small and* release = small and* size = small in
+          let* cid, cseq = client and* trace = trace_id in
+          return (P.Submit { org; user; release; size; cid; cseq; trace }));
+         (let* time = small and* event = fault_event and* cid, cseq = client in
+          let* trace = trace_id in
+          return (P.Fault { time; event; cid; cseq; trace }));
+         (let* time = small and* event = endow_event and* cid, cseq = client in
+          let* trace = trace_id in
+          return (P.Endow { time; event; cid; cseq; trace }));
+         oneofl [ P.Status; P.Psi; P.Snapshot; P.Metrics ];
+         map (fun detail -> P.Drain { detail }) bool;
+         map (fun limit -> P.Trace { limit }) (int_range 1 5000);
+       ])
+
+let rec json depth =
+  let leaf =
+    G.(oneof
+         [
+           return Obs.Json.Null;
+           map (fun b -> Obs.Json.Bool b) bool;
+           map (fun i -> Obs.Json.Int i) small;
+           map (fun f -> Obs.Json.Float f) finite;
+           map (fun s -> Obs.Json.String s) text;
+         ])
+  in
+  if depth = 0 then leaf
+  else
+    G.(frequency
+         [
+           (3, leaf);
+           (1, map (fun l -> Obs.Json.List l) (list_size (int_bound 3) (json (depth - 1))));
+           ( 1,
+             map (fun m -> Obs.Json.Obj m)
+               (list_size (int_bound 3) (pair text (json (depth - 1)))) );
+         ])
+
+let stats =
+  G.(map
+       (fun l ->
+         let s = Kernel.Stats.create () in
+         (match l with
+         | [ a; b; c; d; e; f; g; h; i; j; k ] ->
+             s.instants <- a; s.completions <- b; s.fault_events <- c;
+             s.endow_events <- d; s.kills <- e; s.abandoned <- f;
+             s.wasted <- g; s.releases <- h; s.rounds <- i; s.starts <- j;
+             s.heap_pops <- k
+         | _ -> assert false);
+         s)
+       (list_repeat 11 (int_bound 1_000_000)))
+
+let summary =
+  G.(let* count = int_bound 1000 and* p50 = finite and* p90 = finite in
+     let* p99 = finite and* max = finite in
+     return { Obs.Metrics.count; p50; p90; p99; max })
+
+let int_array = G.(array_size (int_bound 4) small)
+
+let response =
+  G.(oneof
+       [
+         (let* seq = small and* org = small and* index = small and* now = small in
+          return (P.Submit_ok { seq; org; index; now }));
+         map2 (fun seq now -> P.Fault_ok { seq; now }) small small;
+         map2 (fun seq now -> P.Endow_ok { seq; now }) small small;
+         (let* now = small and* waiting = int_array and* stats = stats in
+          let* job_wait = opt summary and* estimator = text and* draining = bool in
+          let* groups = oneof [ return 1; int_range 2 8 ] and* ack_ewma_ms = finite in
+          return
+            (P.Status_ok
+               {
+                 now; frontier = now + 1; horizon = 100; orgs = 3; machines = 4;
+                 accepted = 20; rejected = 2; queue_depth = 1; queue_cap = 1024;
+                 draining; waiting; stats; job_wait; estimator;
+                 degraded = not draining; shed = 17; ack_ewma_ms; groups;
+                 shards = groups; fsyncs = 9;
+               }));
+         map3
+           (fun now psi_scaled parts -> P.Psi_ok { now; psi_scaled; parts })
+           small int_array int_array;
+         map2 (fun seq path -> P.Snapshot_ok { seq; path }) small text;
+         (let* d_now = small and* d_psi_scaled = int_array and* d_parts = int_array in
+          let row = tup5 small small small small small in
+          let* d_stats = stats and* d_schedule = opt (list_size (int_bound 3) row) in
+          return (P.Drain_ok { d_now; d_psi_scaled; d_parts; d_stats; d_schedule }));
+         map (fun metrics -> P.Metrics_ok { metrics }) (json 2);
+         map3
+           (fun events dropped trace -> P.Trace_ok { events; dropped; trace })
+           small small (json 2);
+         (let* code = oneofl [ P.Parse; P.Bad_request; P.Backpressure; P.Draining; P.Wal_error; P.Unsupported ] in
+          let* msg = text and* retry_after_ms = opt small in
+          return (P.Error { code; msg; retry_after_ms }));
+       ])
+
+let record ~seq =
+  G.(oneof
+       [
+         (let* org = small and* user = small and* release = small and* size = small in
+          let* cid, cseq = client in
+          return (W.Submit { seq; org; user; release; size; cid; cseq }));
+         (let* time = small and* event = fault_event and* cid, cseq = client in
+          return (W.Fault { seq; time; event; cid; cseq }));
+         (let* time = small and* event = endow_event and* cid, cseq = client in
+          return (W.Endow { seq; time; event; cid; cseq }));
+         map
+           (fun estimator -> W.Mode { seq; estimator })
+           (string_size ~gen:printable (int_range 1 8));
+       ])
+
+let config =
+  G.(let* machines = array_size (int_range 1 4) (int_range 1 3) in
+     let orgs = Array.length machines in
+     let total = Array.fold_left ( + ) 0 machines in
+     let* speeds = opt (array_repeat total (float_range 0.1 4.)) in
+     let* groups = int_range 1 orgs and* federated = bool in
+     let* max_restarts = opt (int_bound 5) and* workers = opt (int_range 1 4) in
+     let* horizon = int_range 1 10_000 and* seed = small in
+     let* algorithm = oneofl [ "fifo"; "ref"; "fairshare" ] in
+     return
+       (config ?speeds ?max_restarts ?workers ~groups ~federated ~machines
+          ~horizon ~algorithm ~seed ()))
+
+let snapshot =
+  G.(let* config = config and* n = int_bound 5 in
+     let* records =
+       flatten_l (List.init n (fun i -> record ~seq:((2 * i) + 1)))
+     in
+     let* gap = int_bound 3 in
+     return { W.config; last_seq = (2 * n) + gap; records })
+
+let roundtrip ?(count = 300) name gen print ~encode ~decode ~equal =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count ~name (QCheck.make ~print gen) (fun v ->
+         match decode (encode v) with
+         | Ok v' -> equal v v'
+         | Error e -> QCheck.Test.fail_reportf "%s" e))
+
+let roundtrips =
+  let json_print f v = Obs.Json.to_string (f v) in
+  [
+    roundtrip "request" request P.request_to_line ~encode:P.request_to_line
+      ~decode:P.request_of_line ~equal:( = );
+    roundtrip "response" response P.response_to_line ~encode:P.response_to_line
+      ~decode:P.response_of_line ~equal:( = );
+    roundtrip "wal record" (G.(small >>= fun seq -> record ~seq))
+      (json_print W.record_to_json)
+      ~encode:(json_print W.record_to_json)
+      ~decode:(of_json_line W.record_of_json) ~equal:( = );
+    roundtrip "config" config
+      (json_print Service.Config.to_json)
+      ~encode:(json_print Service.Config.to_json)
+      ~decode:(of_json_line Service.Config.of_json) ~equal:( = );
+    roundtrip "stats" stats Kernel.Stats.to_json ~encode:Kernel.Stats.to_json
+      ~decode:(of_json_line Kernel.Stats.of_json) ~equal:( = );
+    roundtrip ~count:60 "snapshot" snapshot snapshot_line ~encode:snapshot_line
+      ~decode:decode_snapshot
+      ~equal:(fun a b ->
+        a.W.config = b.W.config && a.W.last_seq = b.W.last_seq
+        && a.W.records = b.W.records);
+  ]
+
 let () =
   match Sys.getenv_opt "FAIRSCHED_WIRE_OUT" with
   | Some out -> regenerate out
@@ -707,4 +914,5 @@ let () =
                 Alcotest.test_case "malformed" `Quick test_malformed;
                 Alcotest.test_case "wal-0 segment" `Quick test_segment;
               ] );
+          ("roundtrip", roundtrips);
         ]
