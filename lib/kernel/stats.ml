@@ -92,12 +92,33 @@ let codec =
     ]
     (fun instants completions fault_events endow_events kills abandoned wasted
          releases rounds starts heap_pops ->
-      { instants; completions; fault_events; endow_events; kills; abandoned;
-        wasted; releases; rounds; starts; heap_pops })
+      {
+        instants;
+        completions;
+        fault_events;
+        endow_events;
+        kills;
+        abandoned;
+        wasted;
+        releases;
+        rounds;
+        starts;
+        heap_pops;
+      })
     (fun t ->
-      [ t.instants; t.completions; t.fault_events; t.endow_events; t.kills;
-        t.abandoned; t.wasted; t.releases; t.rounds; t.starts; t.heap_pops ])
+      [
+        t.instants;
+        t.completions;
+        t.fault_events;
+        t.endow_events;
+        t.kills;
+        t.abandoned;
+        t.wasted;
+        t.releases;
+        t.rounds;
+        t.starts;
+        t.heap_pops;
+      ])
 
-let json = Obs.Json.Codec.encode codec
-let to_json t = Obs.Json.to_string (json t)
+let to_json t = Obs.Json.to_string (Obs.Json.Codec.encode codec t)
 let of_json = Obs.Json.Codec.decode codec

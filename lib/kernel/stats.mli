@@ -41,10 +41,8 @@ val codec : t Obs.Json.Codec.obj
 (** One flat JSON object, keys matching the field names.  An absent
     [endow_events] reads as 0; a wrong-typed one is an error. *)
 
-val json : t -> Obs.Json.t
-
 val to_json : t -> string
-(** [json] serialized (via {!Obs.Json}, so always well-formed). *)
+(** {!codec}'s object, serialized. *)
 
 val of_json : Obs.Json.t -> (t, string) result
-(** Inverse of {!json}: [of_json (json t)] reconstructs [t] exactly. *)
+(** Inverse of {!to_json}: it reconstructs [t] exactly. *)

@@ -346,34 +346,39 @@ module Codec = struct
     absent : problem;
   }
 
-  (* [push] conses the members, in order, onto a reversed accumulator;
+  (* [push v tail] puts the members of [v], in order, in front of [tail];
      [read] takes the style it inherits, unless the object has its own. *)
   type 'a obj = {
     push : 'a -> members -> members;
     read : style -> members -> ('a, string) result;
   }
 
-  let scalar what enc project =
-    let dec _ j = Option.to_result ~none:(Expected what) (project j) in
-    { enc; dec; absent = Missing }
+  let scalar enc dec = { enc; dec = (fun _ j -> dec j); absent = Missing }
 
   let int =
-    scalar "an integer" (fun v -> Int v) (function Int v -> Some v | _ -> None)
+    scalar
+      (fun v -> Int v)
+      (function Int v -> Ok v | _ -> Error (Expected "an integer"))
 
   let bool =
-    scalar "a boolean" (fun b -> Bool b) (function Bool b -> Some b | _ -> None)
+    scalar
+      (fun b -> Bool b)
+      (function Bool b -> Ok b | _ -> Error (Expected "a boolean"))
 
   let string =
-    scalar "a string"
+    scalar
       (fun s -> String s)
-      (function String s -> Some s | _ -> None)
+      (function String s -> Ok s | _ -> Error (Expected "a string"))
 
   let number =
-    scalar "numeric"
+    scalar
       (fun f -> Float f)
-      (function Int i -> Some (float_of_int i) | Float f -> Some f | _ -> None)
+      (function
+        | Int i -> Ok (float_of_int i)
+        | Float f -> Ok f
+        | _ -> Error (Expected "numeric"))
 
-  let any = scalar "" Fun.id Option.some
+  let any = scalar Fun.id Result.ok
 
   let list ?(not_list = Expected "a list") c =
     let rec items st acc = function
@@ -419,7 +424,7 @@ module Codec = struct
 
   let value o =
     let dec st j = Result.map_error (fun msg -> Failed msg) (o.read st (members j)) in
-    { enc = (fun v -> Obj (List.rev (o.push v []))); dec; absent = Missing }
+    { enc = (fun v -> Obj (o.push v [])); dec; absent = Missing }
 
   (* --- members --- *)
 
@@ -440,23 +445,25 @@ module Codec = struct
   let flat ?omit obj = Flat { obj; omit }
 
   let push_field : type a. a field -> a -> members -> members =
-   fun f v acc ->
+   fun f v tail ->
     match f with
-    | Mem { omit = true; default = Some d; _ } when v = d -> acc
-    | Mem { name; codec; _ } -> (name, codec.enc v) :: acc
-    | Flat { omit = Some d; _ } when v = d -> acc
-    | Flat { obj; _ } -> obj.push v acc
+    | Mem { omit = true; default = Some d; _ } when v = d -> tail
+    | Mem { name; codec; _ } -> (name, codec.enc v) :: tail
+    | Flat { omit = Some d; _ } when v = d -> tail
+    | Flat { obj; _ } -> obj.push v tail
 
   let read_field : type a. a field -> style -> members -> (a, string) result =
    fun f st m ->
     match f with
     | Flat { obj; _ } -> obj.read st m
     | Mem { name; codec; default; _ } -> (
-        let fail p = Error (report st name p) in
         match (List.assoc_opt name m, default) with
-        | Some j, _ -> Result.fold ~ok:Result.ok ~error:fail (codec.dec st j)
+        | Some j, _ -> (
+            match codec.dec st j with
+            | Ok _ as ok -> ok
+            | Error p -> Error (report st name p))
         | None, Some d -> Ok d
-        | None, None -> fail codec.absent)
+        | None, None -> Error (report st name codec.absent))
 
   type ('f, 'r) fields =
     | [] : ('r, 'r) fields
@@ -468,10 +475,10 @@ module Codec = struct
 
   let rec push_fields :
       type f r. (f, r) fields -> (f, r) values -> members -> members =
-   fun fields vals acc ->
+   fun fields vals tail ->
     match (fields, vals) with
-    | [], [] -> acc
-    | f :: fs, v :: vs -> push_fields fs vs (push_field f v acc)
+    | [], [] -> tail
+    | f :: fs, v :: vs -> push_field f v (push_fields fs vs tail)
     | _ -> invalid_arg "Json.Codec: field and value lists differ in length"
 
   let rec read_fields :
@@ -479,13 +486,16 @@ module Codec = struct
    fun fields k st m ->
     match fields with
     | [] -> Ok k
-    | f :: fs -> Result.bind (read_field f st m) (fun v -> read_fields fs (k v) st m)
+    | f :: fs -> (
+        match read_field f st m with
+        | Ok v -> read_fields fs (k v) st m
+        | Error e -> Error e)
 
   let own style st = Option.value style ~default:st
 
   let obj ?style fields make proj =
     {
-      push = (fun v acc -> push_fields fields (proj v) acc);
+      push = (fun v tail -> push_fields fields (proj v) tail);
       read = (fun st m -> read_fields fields make (own style st) m);
     }
 
@@ -504,22 +514,28 @@ module Codec = struct
   let case tag fields make proj = Case { tag; fields; make; proj }
 
   let variant ?style ?(unknown = fun _ -> Expected "a known tag") key tag cases =
-    let rec push v acc : (_, _) case list -> _ = function
+    let rec push v tail : (_, _) case list -> members = function
       | [] -> invalid_arg ("Json.Codec.variant: no case for this " ^ key)
       | Case c :: rest -> (
           match c.proj v with
-          | Some vals -> push_fields c.fields vals ((key, tag.enc c.tag) :: acc)
-          | None -> push v acc rest)
+          | Some vals -> (key, tag.enc c.tag) :: push_fields c.fields vals tail
+          | None -> push v tail rest)
+    in
+    let key_field = req key tag in
+    let rec read_case st m t : (_, _) case list -> _ = function
+      | [] -> Error (report st key (unknown t))
+      | Case c :: _ when c.tag = t -> read_fields c.fields c.make st m
+      | _ :: rest -> read_case st m t rest
     in
     let read st m =
       let st = own style st in
-      Result.bind (read_field (req key tag) st m) (fun t ->
-          match List.find_opt (fun (Case c) -> c.tag = t) cases with
-          | Some (Case c) -> read_fields c.fields c.make st m
-          | None -> Error (report st key (unknown t)))
+      match read_field key_field st m with
+      | Ok t -> read_case st m t cases
+      | Error e -> Error e
     in
-    { push = (fun v acc -> push v acc cases); read }
+    { push = (fun v tail -> push v tail cases); read }
 
-  let encode o v = Obj (List.rev (o.push v []))
-  let decode o j = o.read (field_style "") (members j)
+  let top_style = field_style ""
+  let encode o v = Obj (o.push v [])
+  let decode o j = o.read top_style (members j)
 end

@@ -97,11 +97,29 @@ let codec =
     ]
     (fun machines speeds horizon algorithm seed max_restarts workers groups
          federated ->
-      { machines; speeds; horizon; algorithm; seed; max_restarts; workers;
-        groups; federated })
+      {
+        machines;
+        speeds;
+        horizon;
+        algorithm;
+        seed;
+        max_restarts;
+        workers;
+        groups;
+        federated;
+      })
     (fun t ->
-      [ t.machines; t.speeds; t.horizon; t.algorithm; t.seed; t.max_restarts;
-        t.workers; t.groups; t.federated ])
+      [
+        t.machines;
+        t.speeds;
+        t.horizon;
+        t.algorithm;
+        t.seed;
+        t.max_restarts;
+        t.workers;
+        t.groups;
+        t.federated;
+      ])
   |> validate (fun t ->
          make ?speeds:t.speeds ?max_restarts:t.max_restarts ?workers:t.workers
            ~groups:t.groups ~federated:t.federated ~machines:t.machines
@@ -110,11 +128,7 @@ let codec =
 let to_json = Obs.Json.Codec.encode codec
 let of_json = Obs.Json.Codec.decode codec
 
-let equal a b =
-  a.machines = b.machines && a.speeds = b.speeds && a.horizon = b.horizon
-  && a.algorithm = b.algorithm && a.seed = b.seed
-  && a.max_restarts = b.max_restarts && a.groups = b.groups
-  && a.federated = b.federated
+let equal a b = { a with workers = None } = { b with workers = None }
 
 let pp ppf t =
   Format.fprintf ppf "%s k=%d m=%d horizon=%d seed=%d" t.algorithm

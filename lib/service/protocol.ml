@@ -254,14 +254,51 @@ let status =
     (fun now frontier horizon orgs machines accepted rejected queue_depth
          queue_cap draining waiting stats estimator degraded shed ack_ewma_ms
          groups shards fsyncs job_wait ->
-      { now; frontier; horizon; orgs; machines; accepted; rejected;
-        queue_depth; queue_cap; draining; waiting; stats; job_wait; estimator;
-        degraded; shed; ack_ewma_ms; groups; shards; fsyncs })
+      {
+        now;
+        frontier;
+        horizon;
+        orgs;
+        machines;
+        accepted;
+        rejected;
+        queue_depth;
+        queue_cap;
+        draining;
+        waiting;
+        stats;
+        job_wait;
+        estimator;
+        degraded;
+        shed;
+        ack_ewma_ms;
+        groups;
+        shards;
+        fsyncs;
+      })
     (fun s ->
-      [ s.now; s.frontier; s.horizon; s.orgs; s.machines; s.accepted;
-        s.rejected; s.queue_depth; s.queue_cap; s.draining; s.waiting;
-        s.stats; s.estimator; s.degraded; s.shed; s.ack_ewma_ms; s.groups;
-        s.shards; s.fsyncs; s.job_wait ])
+      [
+        s.now;
+        s.frontier;
+        s.horizon;
+        s.orgs;
+        s.machines;
+        s.accepted;
+        s.rejected;
+        s.queue_depth;
+        s.queue_cap;
+        s.draining;
+        s.waiting;
+        s.stats;
+        s.estimator;
+        s.degraded;
+        s.shed;
+        s.ack_ewma_ms;
+        s.groups;
+        s.shards;
+        s.fsyncs;
+        s.job_wait;
+      ])
 
 let schedule_row =
   obj

@@ -58,7 +58,8 @@ let record =
   let open Codec in
   let no_rec = Failed "WAL record missing \"rec\" discriminator" in
   let bad_kind = Expected "\"fail\" or \"recover\"" in
-  variant ~style:wal_style ~unknown:(fun _ -> no_rec) "rec" (fails_as no_rec string)
+  variant ~style:wal_style ~unknown:(fun _ -> no_rec) "rec"
+    (fails_as no_rec string)
     [
       case "submit"
         [
@@ -90,7 +91,9 @@ let record =
               Some [ seq; time; event; (cid, cseq) ]
           | _ -> None);
       case "endow"
-        [ req "seq" int; req "time" int; flat Protocol.endow_event; Protocol.client ]
+        [
+          req "seq" int; req "time" int; flat Protocol.endow_event; Protocol.client;
+        ]
         (fun seq time event (cid, cseq) -> Endow { seq; time; event; cid; cseq })
         (function
           | Endow { seq; time; event; cid; cseq } ->
@@ -190,7 +193,7 @@ let wal_header =
   let not_header = Failed "not a fairsched WAL header" in
   obj ~style:wal_style
     [
-      req wal_magic (fails_as not_header (check (fun v -> v = 1) not_header int));
+      req wal_magic (fails_as not_header (check (( = ) 1) Missing int));
       req "config" (absent_as not_header (value Config.codec));
     ]
     (fun _ config -> config)
@@ -283,13 +286,14 @@ let close w =
 
 type snapshot = { config : Config.t; last_seq : int; records : record list }
 
-(* The magic member is written but, as ever, not checked on reading. *)
+(* Reading ignores the magic member; only [check] sniffs it. *)
 let snapshot =
   let open Codec in
   obj ~style:wal_style
     [
       dft "fairsched_snapshot" any (Int 1);
-      req "config" (absent_as (Failed "snapshot missing \"config\"") (value Config.codec));
+      req "config"
+        (absent_as (Failed "snapshot missing \"config\"") (value Config.codec));
       req "last_seq" int;
       req "records"
         (list ~not_list:(Failed "snapshot missing \"records\"") (value record));
