@@ -5,12 +5,10 @@
    writes to sockets and disks; a codec change that moves a byte, reorders
    a field or renames an error fails here.
 
-   To regenerate (only when a format change is intended), run the binary
-   with the fixture directory as the output:
+   To regenerate (only when a format change is intended), capture into
+   the fixture directory and review the diff:
 
-     FAIRSCHED_WIRE_OUT=test/fixtures/wire ./_build/default/test/test_wire.exe
-
-   and review the diff. *)
+     dune exec test/test_wire.exe -- capture test/fixtures/wire *)
 
 let ( let@ ) f x = f x
 let fixtures = Filename.concat "fixtures" "wire"
@@ -899,9 +897,9 @@ let roundtrips =
   ]
 
 let () =
-  match Sys.getenv_opt "FAIRSCHED_WIRE_OUT" with
-  | Some out -> regenerate out
-  | None ->
+  match Sys.argv with
+  | [| _; "capture"; out |] -> regenerate out
+  | _ ->
       Alcotest.run "wire"
         [
           ( "golden",
