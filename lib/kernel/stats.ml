@@ -90,8 +90,8 @@ let codec =
       req "starts" int;
       req "heap_pops" int;
     ]
-    (fun instants completions fault_events endow_events kills abandoned wasted
-         releases rounds starts heap_pops ->
+    (fun [ instants; completions; fault_events; endow_events; kills; abandoned;
+           wasted; releases; rounds; starts; heap_pops ] ->
       {
         instants;
         completions;

@@ -400,12 +400,15 @@ module Codec = struct
     }
 
   let fails_as p c =
-    { c with dec = (fun st j -> Result.map_error (fun _ -> p) (c.dec st j)); absent = p }
+    let dec st j = Result.map_error (fun _ -> p) (c.dec st j) in
+    { c with dec; absent = p }
 
   let absent_as p c = { c with absent = p }
 
   let check ok p c =
-    let dec st j = Result.bind (c.dec st j) (fun v -> if ok v then Ok v else Error p) in
+    let dec st j =
+      Result.bind (c.dec st j) (fun v -> if ok v then Ok v else Error p)
+    in
     { c with dec }
 
   let int_array =
@@ -423,7 +426,9 @@ module Codec = struct
   let members = function Obj m -> m | _ -> []
 
   let value o =
-    let dec st j = Result.map_error (fun msg -> Failed msg) (o.read st (members j)) in
+    let dec st j =
+      Result.map_error (fun msg -> Failed msg) (o.read st (members j))
+    in
     { enc = (fun v -> Obj (o.push v [])); dec; absent = Missing }
 
   (* --- members --- *)
@@ -482,21 +487,26 @@ module Codec = struct
     | _ -> invalid_arg "Json.Codec: field and value lists differ in length"
 
   let rec read_fields :
-      type f r. (f, r) fields -> f -> style -> members -> (r, string) result =
-   fun fields k st m ->
+      type f r.
+      (f, r) fields -> style -> members -> ((f, r) values, string) result =
+   fun fields st m ->
     match fields with
-    | [] -> Ok k
+    | [] -> Ok []
     | f :: fs -> (
         match read_field f st m with
-        | Ok v -> read_fields fs (k v) st m
-        | Error e -> Error e)
+        | Error e -> Error e
+        | Ok v -> (
+            match read_fields fs st m with
+            | Ok vs -> Ok (v :: vs)
+            | Error e -> Error e))
 
   let own style st = Option.value style ~default:st
 
   let obj ?style fields make proj =
     {
       push = (fun v tail -> push_fields fields (proj v) tail);
-      read = (fun st m -> read_fields fields make (own style st) m);
+      read =
+        (fun st m -> Result.map make (read_fields fields (own style st) m));
     }
 
   let validate finish o =
@@ -506,14 +516,15 @@ module Codec = struct
     | Case : {
         tag : 'tag;
         fields : ('f, 'a) fields;
-        make : 'f;
+        make : ('f, 'a) values -> 'a;
         proj : 'a -> ('f, 'a) values option;
       }
         -> ('tag, 'a) case
 
   let case tag fields make proj = Case { tag; fields; make; proj }
 
-  let variant ?style ?(unknown = fun _ -> Expected "a known tag") key tag cases =
+  let variant ?style ?(unknown = fun _ -> Expected "a known tag") key tag
+      cases =
     let rec push v tail : (_, _) case list -> members = function
       | [] -> invalid_arg ("Json.Codec.variant: no case for this " ^ key)
       | Case c :: rest -> (
@@ -524,7 +535,8 @@ module Codec = struct
     let key_field = req key tag in
     let rec read_case st m t : (_, _) case list -> _ = function
       | [] -> Error (report st key (unknown t))
-      | Case c :: _ when c.tag = t -> read_fields c.fields c.make st m
+      | Case c :: _ when c.tag = t ->
+          Result.map c.make (read_fields c.fields st m)
       | _ :: rest -> read_case st m t rest
     in
     let read st m =

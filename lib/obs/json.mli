@@ -86,7 +86,7 @@ val get_number : t -> float option
     {[
       let point =
         Codec.(obj [ req "x" int; dft ~omit:true "label" string "" ]
-                 (fun x label -> { x; label })
+                 (fun [ x; label ] -> { x; label })
                  (fun p -> [ p.x; p.label ]))
     ]}
 
@@ -175,9 +175,10 @@ module Codec : sig
     | ( :: ) : 'a * ('f, 'r) values -> ('a -> 'f, 'r) values
 
   val obj :
-    ?style:style -> ('f, 'r) fields -> 'f -> ('r -> ('f, 'r) values) -> 'r obj
-  (** [obj fields make proj]: decoding applies [make] to the members in
-      order; encoding writes [proj v], one value per member. *)
+    ?style:style -> ('f, 'r) fields -> (('f, 'r) values -> 'r) ->
+    ('r -> ('f, 'r) values) -> 'r obj
+  (** [obj fields make proj]: decoding reads the members in order and
+      hands their values to [make]; encoding writes [proj v]. *)
 
   val validate : ('a -> ('a, string) result) -> 'a obj -> 'a obj
   (** A check that can fail, run after a successful decode. *)
@@ -185,8 +186,8 @@ module Codec : sig
   type ('tag, 'a) case
 
   val case :
-    'tag -> ('f, 'a) fields -> 'f -> ('a -> ('f, 'a) values option) ->
-    ('tag, 'a) case
+    'tag -> ('f, 'a) fields -> (('f, 'a) values -> 'a) ->
+    ('a -> ('f, 'a) values option) -> ('tag, 'a) case
   (** Like {!obj}; [proj] answers [None] for other cases' values. *)
 
   val variant :

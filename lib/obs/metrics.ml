@@ -207,8 +207,14 @@ type summary = {
 let summary_codec =
   let open Json.Codec in
   obj
-    [ req "count" int; req "p50" number; req "p90" number; req "p99" number; req "max" number ]
-    (fun count p50 p90 p99 max -> { count; p50; p90; p99; max })
+    [
+      req "count" int;
+      req "p50" number;
+      req "p90" number;
+      req "p99" number;
+      req "max" number;
+    ]
+    (fun [ count; p50; p90; p99; max ] -> { count; p50; p90; p99; max })
     (fun s -> [ s.count; s.p50; s.p90; s.p99; s.max ])
 
 type value = Counter of int | Gauge of float | Histogram of summary

@@ -95,8 +95,8 @@ let codec =
       dft ~omit:true "groups" int 1;
       dft ~omit:true "federated" bool false;
     ]
-    (fun machines speeds horizon algorithm seed max_restarts workers groups
-         federated ->
+    (fun [ machines; speeds; horizon; algorithm; seed; max_restarts; workers;
+           groups; federated ] ->
       {
         machines;
         speeds;

@@ -123,7 +123,7 @@ let client =
   flat ~omit:(0, 0)
     (obj
        [ dft "cid" int 0; dft "cseq" int 0 ]
-       (fun cid cseq -> (cid, cseq))
+       (fun [ cid; cseq ] -> (cid, cseq))
        (fun (cid, cseq) -> [ cid; cseq ]))
 
 (* Same omitted-when-zero discipline as [client]. *)
@@ -133,10 +133,10 @@ let fault_event ?(kind = string) ?(unknown = unknown "fault kind") () =
   variant ~unknown "kind" kind
     [
       case "fail" [ req "machine" int ]
-        (fun m -> Faults.Event.Fail m)
+        (fun [ m ] -> Faults.Event.Fail m)
         (function Faults.Event.Fail m -> Some [ m ] | _ -> None);
       case "recover" [ req "machine" int ]
-        (fun m -> Faults.Event.Recover m)
+        (fun [ m ] -> Faults.Event.Recover m)
         (function Faults.Event.Recover m -> Some [ m ] | _ -> None);
     ]
 
@@ -153,20 +153,20 @@ let endow_event =
     [
       case "join"
         [ req "org" int; machine_list ]
-        (fun org machines -> Join { org; machines })
+        (fun [ org; machines ] -> Join { org; machines })
         (function Join { org; machines } -> Some [ org; machines ] | _ -> None);
       case "leave" [ req "org" int ]
-        (fun org -> Leave { org })
+        (fun [ org ] -> Leave { org })
         (function Leave { org } -> Some [ org ] | _ -> None);
       case "lend"
         [ req "org" int; req "to_org" int; machine_list ]
-        (fun org to_org machines -> Lend { org; to_org; machines })
+        (fun [ org; to_org; machines ] -> Lend { org; to_org; machines })
         (function
           | Lend { org; to_org; machines } -> Some [ org; to_org; machines ]
           | _ -> None);
       case "reclaim"
         [ req "org" int; machine_list ]
-        (fun org machines -> Reclaim { org; machines })
+        (fun [ org; machines ] -> Reclaim { org; machines })
         (function
           | Reclaim { org; machines } -> Some [ org; machines ] | _ -> None);
     ]
@@ -183,7 +183,7 @@ let request =
           client;
           trace;
         ]
-        (fun org user release size (cid, cseq) trace ->
+        (fun [ org; user; release; size; (cid, cseq); trace ] ->
           Submit { org; user; release; size; cid; cseq; trace })
         (function
           | Submit { org; user; release; size; cid; cseq; trace } ->
@@ -191,7 +191,7 @@ let request =
           | _ -> None);
       case "fault"
         [ req "time" int; flat (fault_event ()); client; trace ]
-        (fun time event (cid, cseq) trace ->
+        (fun [ time; event; (cid, cseq); trace ] ->
           Fault { time; event; cid; cseq; trace })
         (function
           | Fault { time; event; cid; cseq; trace } ->
@@ -199,27 +199,35 @@ let request =
           | _ -> None);
       case "endow"
         [ req "time" int; flat endow_event; client; trace ]
-        (fun time event (cid, cseq) trace ->
+        (fun [ time; event; (cid, cseq); trace ] ->
           Endow { time; event; cid; cseq; trace })
         (function
           | Endow { time; event; cid; cseq; trace } ->
               Some [ time; event; (cid, cseq); trace ]
           | _ -> None);
-      case "status" [] Status (function Status -> Some [] | _ -> None);
-      case "psi" [] Psi (function Psi -> Some [] | _ -> None);
-      case "snapshot" [] Snapshot (function Snapshot -> Some [] | _ -> None);
+      case "status" []
+        (fun _ -> Status)
+        (function Status -> Some [] | _ -> None);
+      case "psi" []
+        (fun _ -> Psi)
+        (function Psi -> Some [] | _ -> None);
+      case "snapshot" []
+        (fun _ -> Snapshot)
+        (function Snapshot -> Some [] | _ -> None);
       case "drain"
         [ dft "detail" bool false ]
-        (fun detail -> Drain { detail })
+        (fun [ detail ] -> Drain { detail })
         (function Drain { detail } -> Some [ detail ] | _ -> None);
-      case "metrics" [] Metrics (function Metrics -> Some [] | _ -> None);
+      case "metrics" []
+        (fun _ -> Metrics)
+        (function Metrics -> Some [] | _ -> None);
       case "trace"
         [
           dft "limit"
             (check (fun l -> l >= 1) (Expected ">= 1") int)
             default_trace_limit;
         ]
-        (fun limit -> Trace { limit })
+        (fun [ limit ] -> Trace { limit })
         (function Trace { limit } -> Some [ limit ] | _ -> None);
     ]
 
@@ -251,9 +259,9 @@ let status =
       dft "fsyncs" int 0;
       opt "job_wait" (value Obs.Metrics.summary_codec);
     ]
-    (fun now frontier horizon orgs machines accepted rejected queue_depth
-         queue_cap draining waiting stats estimator degraded shed ack_ewma_ms
-         groups shards fsyncs job_wait ->
+    (fun [ now; frontier; horizon; orgs; machines; accepted; rejected;
+           queue_depth; queue_cap; draining; waiting; stats; estimator;
+           degraded; shed; ack_ewma_ms; groups; shards; fsyncs; job_wait ] ->
       {
         now;
         frontier;
@@ -309,7 +317,7 @@ let schedule_row =
       req "machine" int;
       req "duration" int;
     ]
-    (fun org index start machine duration ->
+    (fun [ org; index; start; machine; duration ] ->
       (org, index, start, machine, duration))
     (fun (org, index, start, machine, duration) ->
       [ org; index; start; machine; duration ])
@@ -323,7 +331,7 @@ let drain =
       req "stats" stats;
       opt "schedule" (list (value schedule_row));
     ]
-    (fun d_now d_psi_scaled d_parts d_stats d_schedule ->
+    (fun [ d_now; d_psi_scaled; d_parts; d_stats; d_schedule ] ->
       { d_now; d_psi_scaled; d_parts; d_stats; d_schedule })
     (fun r -> [ r.d_now; r.d_psi_scaled; r.d_parts; r.d_stats; r.d_schedule ])
 
@@ -332,40 +340,40 @@ let ok_response =
     [
       case "submit"
         [ req "seq" int; req "org" int; req "index" int; req "now" int ]
-        (fun seq org index now -> Submit_ok { seq; org; index; now })
+        (fun [ seq; org; index; now ] -> Submit_ok { seq; org; index; now })
         (function
           | Submit_ok { seq; org; index; now } -> Some [ seq; org; index; now ]
           | _ -> None);
       case "fault"
         [ req "seq" int; req "now" int ]
-        (fun seq now -> Fault_ok { seq; now })
+        (fun [ seq; now ] -> Fault_ok { seq; now })
         (function Fault_ok { seq; now } -> Some [ seq; now ] | _ -> None);
       case "endow"
         [ req "seq" int; req "now" int ]
-        (fun seq now -> Endow_ok { seq; now })
+        (fun [ seq; now ] -> Endow_ok { seq; now })
         (function Endow_ok { seq; now } -> Some [ seq; now ] | _ -> None);
       case "status" [ flat status ]
-        (fun s -> Status_ok s)
+        (fun [ s ] -> Status_ok s)
         (function Status_ok s -> Some [ s ] | _ -> None);
       case "psi"
         [ req "now" int; req "psi_scaled" int_array; req "parts" int_array ]
-        (fun now psi_scaled parts -> Psi_ok { now; psi_scaled; parts })
+        (fun [ now; psi_scaled; parts ] -> Psi_ok { now; psi_scaled; parts })
         (function
           | Psi_ok { now; psi_scaled; parts } -> Some [ now; psi_scaled; parts ]
           | _ -> None);
       case "snapshot"
         [ req "seq" int; req "path" string ]
-        (fun seq path -> Snapshot_ok { seq; path })
+        (fun [ seq; path ] -> Snapshot_ok { seq; path })
         (function Snapshot_ok { seq; path } -> Some [ seq; path ] | _ -> None);
       case "drain" [ flat drain ]
-        (fun r -> Drain_ok r)
+        (fun [ r ] -> Drain_ok r)
         (function Drain_ok r -> Some [ r ] | _ -> None);
       case "metrics" [ req "metrics" any ]
-        (fun metrics -> Metrics_ok { metrics })
+        (fun [ metrics ] -> Metrics_ok { metrics })
         (function Metrics_ok { metrics } -> Some [ metrics ] | _ -> None);
       case "trace"
         [ req "events" int; dft "dropped" int 0; req "trace" any ]
-        (fun events dropped trace -> Trace_ok { events; dropped; trace })
+        (fun [ events; dropped; trace ] -> Trace_ok { events; dropped; trace })
         (function
           | Trace_ok { events; dropped; trace } ->
               Some [ events; dropped; trace ]
@@ -377,7 +385,7 @@ let response =
   let ok_flag = Says "missing or not a boolean" in
   variant "ok" (fails_as ok_flag bool)
     [
-      case true [ flat ok_response ] Fun.id (function
+      case true [ flat ok_response ] (fun [ r ] -> r) (function
         | Error _ -> None
         | r -> Some [ r ]);
       case false
@@ -386,7 +394,8 @@ let response =
           req "msg" string;
           opt "retry_after_ms" int;
         ]
-        (fun code msg retry_after_ms -> Error { code; msg; retry_after_ms })
+        (fun [ code; msg; retry_after_ms ] ->
+          Error { code; msg; retry_after_ms })
         (function
           | Error { code; msg; retry_after_ms } ->
               Some [ code; msg; retry_after_ms ]

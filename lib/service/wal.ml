@@ -70,7 +70,7 @@ let record =
           req "size" int;
           Protocol.client;
         ]
-        (fun seq org user release size (cid, cseq) ->
+        (fun [ seq; org; user; release; size; (cid, cseq) ] ->
           Submit { seq; org; user; release; size; cid; cseq })
         (function
           | Submit { seq; org; user; release; size; cid; cseq } ->
@@ -85,16 +85,21 @@ let record =
                ~unknown:(fun _ -> bad_kind) ());
           Protocol.client;
         ]
-        (fun seq time event (cid, cseq) -> Fault { seq; time; event; cid; cseq })
+        (fun [ seq; time; event; (cid, cseq) ] ->
+          Fault { seq; time; event; cid; cseq })
         (function
           | Fault { seq; time; event; cid; cseq } ->
               Some [ seq; time; event; (cid, cseq) ]
           | _ -> None);
       case "endow"
         [
-          req "seq" int; req "time" int; flat Protocol.endow_event; Protocol.client;
+          req "seq" int;
+          req "time" int;
+          flat Protocol.endow_event;
+          Protocol.client;
         ]
-        (fun seq time event (cid, cseq) -> Endow { seq; time; event; cid; cseq })
+        (fun [ seq; time; event; (cid, cseq) ] ->
+          Endow { seq; time; event; cid; cseq })
         (function
           | Endow { seq; time; event; cid; cseq } ->
               Some [ seq; time; event; (cid, cseq) ]
@@ -106,8 +111,9 @@ let record =
             (fails_as (Expected "a non-empty string")
                (check (fun e -> e <> "") Missing string));
         ]
-        (fun seq estimator -> Mode { seq; estimator })
-        (function Mode { seq; estimator } -> Some [ seq; estimator ] | _ -> None);
+        (fun [ seq; estimator ] -> Mode { seq; estimator })
+        (function
+          | Mode { seq; estimator } -> Some [ seq; estimator ] | _ -> None);
     ]
 
 let record_to_json = Codec.encode record
@@ -196,7 +202,7 @@ let wal_header =
       req wal_magic (fails_as not_header (check (( = ) 1) Missing int));
       req "config" (absent_as not_header (value Config.codec));
     ]
-    (fun _ config -> config)
+    (fun [ _; config ] -> config)
     (fun config -> [ 1; config ])
 
 let write_fully ~site fd s =
@@ -298,7 +304,7 @@ let snapshot =
       req "records"
         (list ~not_list:(Failed "snapshot missing \"records\"") (value record));
     ]
-    (fun _ config last_seq records -> { config; last_seq; records })
+    (fun [ _; config; last_seq; records ] -> { config; last_seq; records })
     (fun s -> [ Int 1; s.config; s.last_seq; s.records ])
 
 let write_snapshot ?(site_prefix = "") ~dir s =
@@ -420,7 +426,8 @@ let read_wal path =
       let* config =
         match of_string header.l_text with
         | Ok hj ->
-            Result.map_error (corrupt path header 1) (Codec.decode wal_header hj)
+            Codec.decode wal_header hj
+            |> Result.map_error (corrupt path header 1)
         | Error e ->
             Error (corrupt path header 1 (Printf.sprintf "bad WAL header: %s" e))
       in
