@@ -140,10 +140,10 @@ let due t ~time = (not (Int_heap.is_empty t.heap)) && earliest t <= time
 let push_event t ~time slot =
   heap_push t ~time:(Stdlib.max time (Coalition_sim.now t.sims.(slot))) slot
 
+(* A sim with nothing pending reads [max_int], which [heap_push] never
+   pushes. *)
 let reschedule t slot =
-  match Coalition_sim.next_event t.sims.(slot) with
-  | Some time -> heap_push t ~time slot
-  | None -> ()
+  heap_push t ~time:(Coalition_sim.next_event_time t.sims.(slot)) slot
 
 (* Pop every entry due at [tau] and collect the slots that genuinely have an
    event there into [active] (deduplicated via the [gathered] stamps); stale
@@ -157,14 +157,15 @@ let gather t ~tau =
       t.own_stats.Kernel.Stats.heap_pops + 1;
     Obs.Metrics.incr m_heap_pops;
     if t.heap_key.(slot) = key then t.heap_key.(slot) <- max_int;
-    if t.gathered.(slot) <> tau then
-      match Coalition_sim.next_event t.sims.(slot) with
-      | None -> ()
-      | Some time when time > tau -> heap_push t ~time slot
-      | Some _ ->
-          t.gathered.(slot) <- tau;
-          t.active.(!count) <- slot;
-          incr count
+    if t.gathered.(slot) <> tau then begin
+      let time = Coalition_sim.next_event_time t.sims.(slot) in
+      if time > tau then heap_push t ~time slot
+      else begin
+        t.gathered.(slot) <- tau;
+        t.active.(!count) <- slot;
+        incr count
+      end
+    end
   done;
   !count
 

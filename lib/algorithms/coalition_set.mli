@@ -3,11 +3,13 @@ open Core
 
 (** A set of what-if coalition schedules (Prop. 3.4) stepped in global
     event order: the one engine under REF (Fig. 1/3, every proper
-    sub-coalition), RAND (Fig. 6, the sampled prefix coalitions) and the
-    generic Fig. 1 REF (recorded schedules).  The set owns the
-    {!Coalition_sim}s, the routing of releases, faults and endowments to
-    them, the event heap and the per-instant staging; each policy supplies
-    only its selection rule and reads the values it needs.
+    sub-coalition) and the generic Fig. 1 REF (recorded schedules).  The
+    set owns the {!Coalition_sim}s, the routing of releases, faults and
+    endowments to them, the event heap and the per-instant staging; each
+    policy supplies only its selection rule and reads the values it needs.
+    RAND (Fig. 6, the sampled prefix coalitions) uses the slots and the
+    routing only: its sims schedule FIFO and read no other sim, so it
+    steps each one on its own, when a value read needs it ({!Rand}).
 
     The simulators live in dense slots [0 .. length − 1].  A min-heap of
     [(time, slot)] entries holds a lower bound on every simulator's next

@@ -273,7 +273,7 @@ let add_endow t (ev : Federation.Event.timed) =
     invalid_arg "Coalition_sim.add_endow: sim is not federated";
   Kernel.Engine.push_endow t.engine ev
 
-let next_event t = Kernel.Engine.next_event t.engine t.model
+let next_event_time t = Kernel.Engine.next_event_time t.engine t.model
 
 let step_releases_and_completions t ~time =
   Kernel.Engine.drain_events t.engine t.model ~time

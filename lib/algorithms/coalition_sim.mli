@@ -74,10 +74,11 @@ val add_endow : t -> Federation.Event.timed -> unit
     retracted); a member org leaving is suspended, rejoining resumed.
     @raise Invalid_argument if the simulator was not created [~federated]. *)
 
-val next_event : t -> int option
+val next_event_time : t -> int
 (** Earliest pending event: the front of the release backlog, the first
-    pending fault, or the first completion — the times at which new
-    scheduling decisions can arise. *)
+    pending fault or endowment, or the first completion — the times at
+    which new scheduling decisions can arise; [max_int] when nothing is
+    pending.  Allocation-free. *)
 
 val advance_to : t -> time:int -> select:(t -> time:int -> int) -> unit
 (** Process all events at instants [<= time] in order: move due backlog jobs

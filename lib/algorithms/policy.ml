@@ -18,12 +18,13 @@ type t = {
   on_fault : view -> time:int -> Faults.Event.t -> unit;
   on_endow : view -> time:int -> Federation.Event.t -> unit;
   stats : (unit -> Kernel.Stats.t) option;
+  catch_up : unit -> bool;
 }
 
 let nop3 _ ~time:_ _ = ()
 
 let make ~name ?pick_machine ?on_release ?on_start ?on_complete ?on_kill
-    ?on_fault ?on_endow ?stats ~select () =
+    ?on_fault ?on_endow ?stats ?catch_up ~select () =
   {
     name;
     select;
@@ -36,6 +37,7 @@ let make ~name ?pick_machine ?on_release ?on_start ?on_complete ?on_kill
     on_fault = Option.value on_fault ~default:nop3;
     on_endow = Option.value on_endow ~default:nop3;
     stats;
+    catch_up = Option.value catch_up ~default:(fun () -> false);
   }
 
 type maker = Instance.t -> rng:Fstats.Rng.t -> t

@@ -54,6 +54,14 @@ type t = {
       (** Internal instrumentation of policies that run their own kernels
           (REF's sub-coalition simulations, its event-heap pops); merged
           into the driver's {!Kernel.Stats.t} at the end of a run. *)
+  catch_up : unit -> bool;
+      (** One bounded slice of work the policy deferred off its decision
+          path; [true] while some remains.  RAND steps a sampled sim only
+          when a contested decision reads it, and a slice steps lagging
+          sims to the latest decision instant; a daemon's shards run
+          slices after their acks are out and while idle.  Slices at any
+          points between feeds change no decision; {!Sim.Driver.run} never
+          calls it.  Default: [fun () -> false]. *)
 }
 
 val make :
@@ -66,6 +74,7 @@ val make :
   ?on_fault:(view -> time:int -> Faults.Event.t -> unit) ->
   ?on_endow:(view -> time:int -> Federation.Event.t -> unit) ->
   ?stats:(unit -> Kernel.Stats.t) ->
+  ?catch_up:(unit -> bool) ->
   select:(view -> time:int -> int) ->
   unit ->
   t

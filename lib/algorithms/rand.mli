@@ -13,10 +13,14 @@
     For workloads with arbitrary job sizes this is the paper's RAND
     {e heuristic} (evaluated with N = 15 and N = 75 in Tables 1–2).
 
-    The sampled schedules run on the shared {!Coalition_set} engine with
-    one worker.  They advance on every decision, but only the ones with an
-    event due are stepped; each schedules FIFO and reads no other, so this
-    is bit-identical to advancing every one of them. *)
+    The sampled schedules are routed by the shared {!Coalition_set} and
+    stepped on demand: a contested decision computes φ̂ only for the
+    waiting organizations, and each value it reads first steps that one
+    coalition's simulation to the decision's instant.  Each schedules FIFO
+    and reads no other, so this is bit-identical to advancing every one of
+    them on every decision; forced decisions and sims no decision reads
+    cost nothing.  {!Policy.t.catch_up} steps lagging sims to the latest
+    decision instant in bounded slices, for a daemon's idle time. *)
 
 val rand : n:int -> Policy.maker
 (** N sampled orders; the policy is named ["rand-N"].  A sampled
@@ -39,4 +43,14 @@ val make_with_internals :
 
 val contributions_scaled : internals -> time:int -> float array
 (** [2·φ̂(u)] of every organization at [time], from the sampled orders
-    (advances the sampled simulators to [time] first). *)
+    (steps each sampled simulator it reads to [time] first). *)
+
+val take_used : internals -> (int * int * float) list
+(** The [(time, org, 2·φ̂(org))] values the policy's own [select] compared,
+    one per waiting organization per contested decision, oldest first,
+    since the last call; recording them advances nothing. *)
+
+val lagging : internals -> int
+(** How many sampled simulators still have an event at or before the
+    latest decision instant, i.e. are behind what an eager engine would
+    have stepped. *)

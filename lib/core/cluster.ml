@@ -136,7 +136,7 @@ let release t (job : Job.t) =
   Queue.add job t.queues.(job.Job.org);
   if t.active.(job.Job.org) then t.waiting_total <- t.waiting_total + 1
 
-let next_completion t = Heap.min_prio t.heap
+let next_completion t = Heap.top_prio t.heap
 
 let pop_completion_le t bound =
   match Heap.pop_le t.heap bound with
@@ -157,14 +157,15 @@ let free_machine_ids t =
 
 let has_waiting t = t.waiting_total > 0
 
+let is_waiting t u =
+  t.active.(u)
+  && not (Queue.is_empty t.queues.(u) && t.resubmitted.(u) = [])
+
 let waiting_orgs t =
   let rec go u acc =
     if u < 0 then acc
-    else if
-      (not t.active.(u))
-      || (Queue.is_empty t.queues.(u) && t.resubmitted.(u) = [])
-    then go (u - 1) acc
-    else go (u - 1) (u :: acc)
+    else if is_waiting t u then go (u - 1) (u :: acc)
+    else go (u - 1) acc
   in
   go (t.norgs - 1) []
 
@@ -172,10 +173,7 @@ let waiting_orgs t =
 let sole_waiting t =
   let rec go u found =
     if u >= t.norgs then found
-    else if
-      (not t.active.(u))
-      || (Queue.is_empty t.queues.(u) && t.resubmitted.(u) = [])
-    then go (u + 1) found
+    else if not (is_waiting t u) then go (u + 1) found
     else if found >= 0 then -1
     else go (u + 1) u
   in

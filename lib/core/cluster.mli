@@ -62,8 +62,9 @@ val fastest_free_machine : t -> int option
 val release : t -> Job.t -> unit
 (** Enqueue a job (it becomes visible to the policy immediately). *)
 
-val next_completion : t -> int option
-(** Finish time of the earliest-running job, if any. *)
+val next_completion : t -> int
+(** Finish time of the earliest-running job, [max_int] when nothing runs
+    (allocation-free). *)
 
 val pop_completion_le : t -> int -> completion option
 (** Pop one completion with [finish <= bound]; the machine returns to the
@@ -75,6 +76,11 @@ val free_machine_ids : t -> int list
     for a given history). *)
 
 val has_waiting : t -> bool
+
+val is_waiting : t -> int -> bool
+(** The organization is active and has a non-empty queue (allocation-free
+    membership in {!waiting_orgs}). *)
+
 val waiting_orgs : t -> int list
 (** Organizations with a non-empty queue, ascending. *)
 

@@ -52,6 +52,7 @@ let add h ~prio value =
   sift_up h.data (h.size - 1)
 
 let min_prio h = if h.size = 0 then None else Some h.data.(0).prio
+let top_prio h = if h.size = 0 then max_int else h.data.(0).prio
 
 let pop h =
   if h.size = 0 then None

@@ -18,6 +18,9 @@ val add : 'a t -> prio:int -> 'a -> unit
 val min_prio : 'a t -> int option
 (** Smallest priority currently stored, without removing it. *)
 
+val top_prio : 'a t -> int
+(** {!min_prio} without the option: [max_int] when the heap is empty. *)
+
 val pop : 'a t -> (int * 'a) option
 (** Removes and returns the entry with the smallest priority. *)
 

@@ -48,8 +48,8 @@ let simulate ?(faults = []) ?max_restarts:_ ~instance policy =
       Kernel.Engine.next_completion =
         (fun () ->
           if Array.exists (fun q -> not (Queue.is_empty q)) queues then
-            Some (Kernel.Engine.now engine + 1)
-          else None);
+            Kernel.Engine.now engine + 1
+          else max_int);
       pop_completion = (fun ~time:_ -> false);
       apply_fault =
         (fun ~time:_ ev ->

@@ -111,7 +111,7 @@ let simulate ?(faults = []) ?max_restarts instance policy =
       Kernel.Engine.next_completion =
         (fun () ->
           skip_dead ();
-          Heap.min_prio running);
+          Heap.top_prio running);
       pop_completion =
         (fun ~time ->
           skip_dead ();

@@ -14,7 +14,7 @@ let m_round_latency = Obs.Metrics.histogram "kernel.round_latency_ns"
 let m_round_starts = Obs.Metrics.histogram "kernel.round_starts"
 
 type 'job model = {
-  next_completion : unit -> int option;
+  next_completion : unit -> int;
   pop_completion : time:int -> bool;
   apply_fault : time:int -> Faults.Event.t -> fault_outcome;
   apply_endow : time:int -> Federation.Event.t -> endow_outcome;
@@ -69,58 +69,46 @@ let push_endow t ev = Queue.add ev t.pushed_endows
 let now t = t.now
 let stats t = t.stats
 
-let min_opt a b =
-  match (a, b) with
-  | None, x | x, None -> x
-  | Some a, Some b -> Some (Stdlib.min a b)
+(* Next times of the three fed streams, each the earlier of its static
+   array and its pushed queue; [max_int] stands for "none", so a query
+   allocates nothing. *)
+let static_release t =
+  if t.next_job < Array.length t.jobs then t.release_time t.jobs.(t.next_job)
+  else max_int
 
-let next_release t =
-  let static =
-    if t.next_job < Array.length t.jobs then
-      Some (t.release_time t.jobs.(t.next_job))
-    else None
-  in
-  let pushed =
-    match Queue.peek_opt t.pushed_jobs with
-    | Some j -> Some (t.release_time j)
-    | None -> None
-  in
-  min_opt static pushed
+let pushed_release t =
+  if Queue.is_empty t.pushed_jobs then max_int
+  else t.release_time (Queue.peek t.pushed_jobs)
 
-let next_fault_time t =
-  let static =
-    if t.next_fault < Array.length t.faults then
-      Some t.faults.(t.next_fault).Faults.Event.time
-    else None
-  in
-  let pushed =
-    match Queue.peek_opt t.pushed_faults with
-    | Some f -> Some f.Faults.Event.time
-    | None -> None
-  in
-  min_opt static pushed
+let static_fault t =
+  if t.next_fault < Array.length t.faults then
+    t.faults.(t.next_fault).Faults.Event.time
+  else max_int
 
-let next_endow_time t =
-  let static =
-    if t.next_endow < Array.length t.endowments then
-      Some t.endowments.(t.next_endow).Federation.Event.time
-    else None
-  in
-  let pushed =
-    match Queue.peek_opt t.pushed_endows with
-    | Some e -> Some e.Federation.Event.time
-    | None -> None
-  in
-  min_opt static pushed
+let pushed_fault t =
+  if Queue.is_empty t.pushed_faults then max_int
+  else (Queue.peek t.pushed_faults).Faults.Event.time
 
-let next_event t model =
-  Option.map
-    (fun tau -> Stdlib.max tau t.now)
-    (min_opt
-       (min_opt
-          (min_opt (next_release t) (next_fault_time t))
-          (next_endow_time t))
-       (model.next_completion ()))
+let static_endow t =
+  if t.next_endow < Array.length t.endowments then
+    t.endowments.(t.next_endow).Federation.Event.time
+  else max_int
+
+let pushed_endow t =
+  if Queue.is_empty t.pushed_endows then max_int
+  else (Queue.peek t.pushed_endows).Federation.Event.time
+
+let imin (a : int) b = if a <= b then a else b
+
+let next_event_time t model =
+  let tau =
+    imin
+      (imin
+         (imin (static_release t) (pushed_release t))
+         (imin (static_fault t) (pushed_fault t)))
+      (imin (imin (static_endow t) (pushed_endow t)) (model.next_completion ()))
+  in
+  if tau = max_int || tau >= t.now then tau else t.now
 
 (* Phase 1: completions. *)
 let drain_completions t model ~time =
@@ -143,29 +131,18 @@ let account_fault t outcome =
         t.stats.Stats.abandoned <- t.stats.Stats.abandoned + 1
 
 let rec drain_faults t model ~time =
-  let static =
-    if t.next_fault < Array.length t.faults then
-      Some t.faults.(t.next_fault).Faults.Event.time
-    else None
-  in
-  let pushed =
-    match Queue.peek_opt t.pushed_faults with
-    | Some f -> Some f.Faults.Event.time
-    | None -> None
-  in
-  match (static, pushed) with
-  | Some ts, _
-    when ts <= time && (match pushed with Some tp -> ts <= tp | None -> true)
-    ->
-      let ev = t.faults.(t.next_fault) in
-      t.next_fault <- t.next_fault + 1;
-      account_fault t (model.apply_fault ~time ev.Faults.Event.event);
-      drain_faults t model ~time
-  | _, Some tp when tp <= time ->
-      let ev = Queue.pop t.pushed_faults in
-      account_fault t (model.apply_fault ~time ev.Faults.Event.event);
-      drain_faults t model ~time
-  | _ -> ()
+  let ts = static_fault t and tp = pushed_fault t in
+  if ts <= time && ts <= tp then begin
+    let ev = t.faults.(t.next_fault) in
+    t.next_fault <- t.next_fault + 1;
+    account_fault t (model.apply_fault ~time ev.Faults.Event.event);
+    drain_faults t model ~time
+  end
+  else if tp <= time then begin
+    let ev = Queue.pop t.pushed_faults in
+    account_fault t (model.apply_fault ~time ev.Faults.Event.event);
+    drain_faults t model ~time
+  end
 
 (* Phase 3: endowments — after faults (a machine that fails and is lent at
    the same instant hands its borrower a down machine) and before releases
@@ -178,57 +155,35 @@ let account_endow t (o : endow_outcome) =
   t.stats.Stats.abandoned <- t.stats.Stats.abandoned + o.e_abandoned
 
 let rec drain_endows t model ~time =
-  let static =
-    if t.next_endow < Array.length t.endowments then
-      Some t.endowments.(t.next_endow).Federation.Event.time
-    else None
-  in
-  let pushed =
-    match Queue.peek_opt t.pushed_endows with
-    | Some e -> Some e.Federation.Event.time
-    | None -> None
-  in
-  match (static, pushed) with
-  | Some ts, _
-    when ts <= time && (match pushed with Some tp -> ts <= tp | None -> true)
-    ->
-      let ev = t.endowments.(t.next_endow) in
-      t.next_endow <- t.next_endow + 1;
-      account_endow t (model.apply_endow ~time ev.Federation.Event.event);
-      drain_endows t model ~time
-  | _, Some tp when tp <= time ->
-      let ev = Queue.pop t.pushed_endows in
-      account_endow t (model.apply_endow ~time ev.Federation.Event.event);
-      drain_endows t model ~time
-  | _ -> ()
+  let ts = static_endow t and tp = pushed_endow t in
+  if ts <= time && ts <= tp then begin
+    let ev = t.endowments.(t.next_endow) in
+    t.next_endow <- t.next_endow + 1;
+    account_endow t (model.apply_endow ~time ev.Federation.Event.event);
+    drain_endows t model ~time
+  end
+  else if tp <= time then begin
+    let ev = Queue.pop t.pushed_endows in
+    account_endow t (model.apply_endow ~time ev.Federation.Event.event);
+    drain_endows t model ~time
+  end
 
 (* Phase 4: releases; same merge rule as faults. *)
 let rec drain_releases t model ~time =
-  let static =
-    if t.next_job < Array.length t.jobs then
-      Some (t.release_time t.jobs.(t.next_job))
-    else None
-  in
-  let pushed =
-    match Queue.peek_opt t.pushed_jobs with
-    | Some j -> Some (t.release_time j)
-    | None -> None
-  in
-  match (static, pushed) with
-  | Some ts, _
-    when ts <= time && (match pushed with Some tp -> ts <= tp | None -> true)
-    ->
-      let job = t.jobs.(t.next_job) in
-      t.next_job <- t.next_job + 1;
-      t.stats.Stats.releases <- t.stats.Stats.releases + 1;
-      model.admit ~time job;
-      drain_releases t model ~time
-  | _, Some tp when tp <= time ->
-      let job = Queue.pop t.pushed_jobs in
-      t.stats.Stats.releases <- t.stats.Stats.releases + 1;
-      model.admit ~time job;
-      drain_releases t model ~time
-  | _ -> ()
+  let ts = static_release t and tp = pushed_release t in
+  if ts <= time && ts <= tp then begin
+    let job = t.jobs.(t.next_job) in
+    t.next_job <- t.next_job + 1;
+    t.stats.Stats.releases <- t.stats.Stats.releases + 1;
+    model.admit ~time job;
+    drain_releases t model ~time
+  end
+  else if tp <= time then begin
+    let job = Queue.pop t.pushed_jobs in
+    t.stats.Stats.releases <- t.stats.Stats.releases + 1;
+    model.admit ~time job;
+    drain_releases t model ~time
+  end
 
 let drain_events t model ~time =
   if time < t.now then invalid_arg "Kernel.Engine: time moved backwards";
@@ -289,32 +244,33 @@ let run t model ~horizon ?(on_checkpoint = fun ~at:_ -> ()) () =
     List.sort_uniq Stdlib.compare
       (List.map (fun c -> Stdlib.min c horizon) t.pending_checkpoints);
   let rec loop () =
-    match next_event t model with
-    | Some tau when tau < horizon ->
-        fire_checkpoints t ~on_checkpoint tau;
-        process_instant t model ~time:tau;
-        loop ()
-    | Some _ | None -> ()
+    let tau = next_event_time t model in
+    if tau < horizon then begin
+      fire_checkpoints t ~on_checkpoint tau;
+      process_instant t model ~time:tau;
+      loop ()
+    end
   in
   loop ();
   fire_checkpoints t ~on_checkpoint horizon
 
 let run_below t model ~time =
   let rec loop () =
-    match next_event t model with
-    | Some tau when tau < time ->
-        process_instant t model ~time:tau;
-        loop ()
-    | Some _ | None -> ()
+    let tau = next_event_time t model in
+    if tau < time then begin
+      process_instant t model ~time:tau;
+      loop ()
+    end
   in
   loop ()
 
 let advance_to t model ~time =
   let rec loop () =
-    match next_event t model with
-    | Some tau when tau <= time ->
-        process_instant t model ~time:tau;
-        loop ()
-    | Some _ | None -> t.now <- Stdlib.max t.now time
+    let tau = next_event_time t model in
+    if tau <= time then begin
+      process_instant t model ~time:tau;
+      loop ()
+    end
+    else t.now <- Stdlib.max t.now time
   in
   loop ()

@@ -51,8 +51,8 @@ val no_endow_effect : endow_outcome
     All closures are called with the instant being processed; the kernel
     guarantees the canonical phase order and monotone time. *)
 type 'job model = {
-  next_completion : unit -> int option;
-      (** earliest pending completion time, if any *)
+  next_completion : unit -> int;
+      (** earliest pending completion time, [max_int] if none *)
   pop_completion : time:int -> bool;
       (** handle one completion with [finish <= time]; [false] if none
           remain (the kernel calls it in a loop) *)
@@ -108,10 +108,11 @@ val now : _ t -> int
 val stats : _ t -> Stats.t
 (** The kernel's live instrumentation counters. *)
 
-val next_event : 'job t -> 'job model -> int option
+val next_event_time : 'job t -> 'job model -> int
 (** Earliest pending event — release, fault, endowment, or completion —
-    {!now} (an event fed late fires at the next instant, never in the
-    past). *)
+    clamped to at least {!now} (an event fed late fires at the next
+    instant, never in the past); [max_int] when nothing is pending.
+    Allocation-free. *)
 
 val process_instant : 'job t -> 'job model -> time:int -> unit
 (** Run all five phases at one instant.  @raise Invalid_argument if [time]

@@ -165,6 +165,8 @@ let endow t ~time event =
           Sim.Session.feed_endow t.session { Federation.Event.time; event };
           Ok ())
 
+let catch_up t = (not t.drained) && Sim.Session.catch_up t.session
+
 let drain t =
   if not t.drained then begin
     Sim.Session.run_to_horizon t.session ();

@@ -67,6 +67,11 @@ val endow : t -> time:int -> Federation.Event.t -> (unit, error) result
     admission-time ownership state, advance the engine below [time], and
     feed the event.  Requires a [federated] config ({!Config.t}). *)
 
+val catch_up : t -> bool
+(** One bounded slice of the policy's deferred simulation work
+    ({!Sim.Session.catch_up}); [true] while some remains.  The shard runs
+    it when idle; it changes no ack and no ψsp. *)
+
 val drain : t -> unit
 (** Run every remaining event to the horizon.  Idempotent; after draining,
     further {!submit}/{!fault} calls return [Error Drained]. *)

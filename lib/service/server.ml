@@ -82,6 +82,9 @@ type state = {
   mutable draining : bool;
   mutable shutdown : bool;
   mutable pending_gathers : int;
+  mutable lagging : bool;
+      (* the inline worker's last catch-up slice left work: poll the
+         sockets without sleeping and run another *)
 }
 
 let term_requested = ref false
@@ -593,6 +596,7 @@ let rec serve_loop s listen_fd =
     let timeout =
       if not (Shard.Mailbox.is_empty s.comp) then 0.0
       else if s.threaded then 1.0
+      else if s.lagging then 0.0
       else Shard.wait_timeout s.workers.(0)
     in
     let flush () =
@@ -602,14 +606,18 @@ let rec serve_loop s listen_fd =
     (* The inline worker's round is split around the router's writes:
        query replies and rejects go out before the group commit's fsync,
        held acks right after it.  An idle tick still runs the round:
-       overload recovery is observed calm, not absence of traffic. *)
+       overload recovery is observed calm, not absence of traffic.  Once
+       the acks are written, one catch-up slice runs; while it leaves work
+       the next select only polls, so the sockets are re-checked between
+       slices. *)
     let round () =
       if not s.threaded then begin
         Shard.process s.workers.(0);
         flush ();
         Shard.settle s.workers.(0)
       end;
-      flush ()
+      flush ();
+      if not s.threaded then s.lagging <- Shard.catch_up s.workers.(0)
     in
     (match Unix.select readers writers [] timeout with
     | rs, _, _ ->
@@ -773,6 +781,7 @@ let run ?(ready = fun () -> ()) cfg =
       shed = 0;
       draining = false;
       shutdown = false;
+      lagging = false;
       pending_gathers = 0;
     }
   in

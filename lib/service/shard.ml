@@ -828,6 +828,22 @@ let settle w =
    held batch once the backlog is empty. *)
 let wait_timeout w = if Queue.is_empty w.w_backlog then 1.0 else 0.
 
+let catch_up w =
+  List.fold_left
+    (fun lagging (_, sh) -> Online.catch_up sh.online || lagging)
+    false w.w_shards
+
+(* After a round's acks are out: one catch-up slice, then, while the
+   backlog is empty, more slices until nothing lags or the mailbox has
+   work.  A saturated worker thus still runs one slice per round, which
+   bounds how far the policy's deferred work falls behind. *)
+let idle_catch_up w =
+  let rec go () =
+    if catch_up w && Queue.is_empty w.w_backlog && Mailbox.is_empty w.w_mb
+    then go ()
+  in
+  go ()
+
 let worker_loop w =
   (* own Chrome trace lane per worker domain; lane 1 is the router *)
   Obs.Trace.set_pid ~name:(Printf.sprintf "shard-worker-%d" w.w_id) (2 + w.w_id);
@@ -839,7 +855,8 @@ let worker_loop w =
          | _ -> ()
          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       process w;
-      settle w
+      settle w;
+      idle_catch_up w
     done
   with e ->
     (* a dead shard would hang its org-groups' clients silently; take the

@@ -180,8 +180,14 @@ val wait_timeout : 'tok worker -> float
     idle tick (overload recovery is observed calm).  No held ack waits
     on a timer: {!settle} commits them all once the backlog is empty. *)
 
+val catch_up : 'tok worker -> bool
+(** One slice of every group engine's idle-time work ({!Online.catch_up});
+    [true] while some engine still lags.  Changes no ack and no ψsp. *)
+
 val start_worker : 'tok worker -> unit
-(** Spawn the worker's domain running [select]+{!process}+{!settle}. *)
+(** Spawn the worker's domain running [select]+{!process}+{!settle}, then
+    {!catch_up}: one slice per round, and more while the backlog and the
+    mailbox stay empty. *)
 
 val stop_worker : 'tok worker -> unit
 (** Stop and join the domain (if any), close mailbox and shard WALs. *)

@@ -204,6 +204,7 @@ let feed_endow t ev = Kernel.Engine.push_endow t.engine ev
 let ownership t = t.ownership
 
 let advance_below t ~time = Kernel.Engine.run_below t.engine t.model ~time
+let catch_up t = t.policy.Algorithms.Policy.catch_up ()
 
 let run_to_horizon t ?on_checkpoint () =
   Kernel.Engine.run t.engine t.model ~horizon:(horizon t) ?on_checkpoint ()

@@ -76,6 +76,11 @@ val advance_below : t -> time:int -> unit
     the release of each newly fed event, then {!run_to_horizon} at drain —
     the instants processed are exactly those of a closed batch run. *)
 
+val catch_up : t -> bool
+(** One bounded slice of the policy's deferred work
+    ({!Algorithms.Policy.t.catch_up}); [true] while some remains.  Changes
+    no decision, so a caller may run it at any point between feeds. *)
+
 val run_to_horizon : t -> ?on_checkpoint:(at:int -> unit) -> unit -> unit
 (** Play every remaining event strictly before the instance horizon
     ({!Kernel.Engine.run} semantics, including checkpoint firing). *)

@@ -257,11 +257,17 @@ let loop_rand ~n instance ~rng =
   in
   (policy, phi2)
 
-(* Runs rand-15 with every contested [select] first comparing its φ̂ with
-   the loop's, bit for bit, both fed the same hooks and planned from the
-   same seed; returns (checks, mismatches). *)
-let phi_agrees ~faults ~federation instance =
+(* Runs rand-15 beside the loop, both fed the same hooks and planned from
+   the same seed; returns (checks, mismatches).  With [`Used], every
+   contested [select] is checked afterwards: the (time, org, φ̂) values it
+   compared, recorded without advancing anything, must name exactly the
+   waiting organizations and equal the loop's φ̂ bit for bit — a value read
+   from a sim left behind shows here.  With [`Contributions], the full
+   vector {!Algorithms.Rand.contributions_scaled} is compared before each
+   contested [select] instead (it steps every sampled sim). *)
+let phi_agrees ~via ~faults ~federation instance =
   let checks = ref 0 and mismatches = ref 0 in
+  let same a b = Int64.bits_of_float a = Int64.bits_of_float b in
   let maker instance ~rng:_ =
     let policy, st =
       Algorithms.Rand.make_with_internals ~n:15 instance
@@ -283,18 +289,31 @@ let phi_agrees ~faults ~federation instance =
       on_endow = both policy.P.on_endow loop.P.on_endow;
       select =
         (fun view ~time ->
-          if Cluster.sole_waiting view.P.cluster < 0 then begin
-            incr checks;
-            let got = Algorithms.Rand.contributions_scaled st ~time in
-            let want = loop_phi2 ~time in
-            if
-              not
-                (Array.for_all2
-                   (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
-                   got want)
-            then incr mismatches
-          end;
-          policy.P.select view ~time);
+          let waiting = Cluster.waiting_orgs view.P.cluster in
+          let contested = List.length waiting >= 2 in
+          (match via with
+          | `Contributions when contested ->
+              incr checks;
+              let got = Algorithms.Rand.contributions_scaled st ~time in
+              if not (Array.for_all2 same got (loop_phi2 ~time)) then
+                incr mismatches
+          | `Contributions | `Used -> ());
+          let org = policy.P.select view ~time in
+          let used = Algorithms.Rand.take_used st in
+          (match via with
+          | `Used when contested ->
+              incr checks;
+              let want = loop_phi2 ~time in
+              if
+                List.map (fun (_, u, _) -> u) used <> waiting
+                || not
+                     (List.for_all
+                        (fun (t, u, phi2) -> t = time && same phi2 want.(u))
+                        used)
+              then incr mismatches
+          | `Used -> if used <> [] then incr mismatches
+          | `Contributions -> ());
+          org);
     }
   in
   ignore
@@ -352,9 +371,15 @@ let rand_case_gen ~churn =
       let federation =
         if churn then endow_trace rng ~machines ~horizon else []
       in
-      let checks, mismatches = phi_agrees ~faults ~federation instance in
+      let checks, mismatches =
+        phi_agrees ~via:`Used ~faults ~federation instance
+      in
+      let full_checks, full_mismatches =
+        phi_agrees ~via:`Contributions ~faults ~federation instance
+      in
       QCheck.assume (checks > 0);
-      mismatches = 0 && psi_agrees ~faults ~federation instance)
+      mismatches = 0 && full_checks = checks && full_mismatches = 0
+      && psi_agrees ~faults ~federation instance)
 
 (* Alcotest truncates a case name to the terminal width less the widest
    group name, so a group's length changes how every case here prints

@@ -622,6 +622,127 @@ let test_equivalence_faults () =
   in
   check_equivalence ~algorithm:"fairshare" ~faults instance
 
+(* RAND's idle-time catch-up: a rand-15 engine fed one job or fault at a
+   time, as Online.submit and Online.fault feed it, with catch-up slices
+   run never, after every feed until none reports lag, or a random number
+   of times after random feeds.  The drained ψsp, parts and schedule must
+   equal Sim.Driver.run's bit for bit, and whenever a slice reports no lag
+   every sampled sim must have processed every event up to the latest
+   decision instant. *)
+let rand_catch_up_qcheck =
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, mode) ->
+        Printf.sprintf "seed %d, slices %s" seed
+          (match mode with
+          | `Never -> "never"
+          | `Every -> "after every feed"
+          | `Random -> "at random"))
+      QCheck.Gen.(
+        pair (int_range 0 100_000) (oneofl [ `Never; `Every; `Random ]))
+  in
+  QCheck.Test.make ~name:"rand-15 catch-up slices keep psi = batch" ~count:30
+    arb (fun (seed, mode) ->
+      let rng = Fstats.Rng.create ~seed in
+      let norgs = Fstats.Rng.int_in rng ~lo:3 ~hi:6 in
+      let machines =
+        Array.init norgs (fun _ -> Fstats.Rng.int_in rng ~lo:1 ~hi:2)
+      in
+      let horizon = 200 in
+      let jobs =
+        List.init
+          (Fstats.Rng.int_in rng ~lo:20 ~hi:60)
+          (fun index ->
+            Core.Job.make ~org:(Fstats.Rng.int rng norgs) ~index
+              ~release:(Fstats.Rng.int rng 120)
+              ~size:(Fstats.Rng.int_in rng ~lo:1 ~hi:9)
+              ())
+      in
+      let instance = Core.Instance.make ~machines ~jobs ~horizon in
+      let faults =
+        Faults.Model.random ~rng
+          ~machines:(Core.Instance.total_machines instance)
+          ~horizon:120
+          ~mtbf:(Faults.Model.Exponential { mean = 30. })
+          ~mttr:(Faults.Model.Exponential { mean = 5. })
+          ()
+      in
+      let batch =
+        Sim.Driver.run ~faults ~instance ~rng:(Fstats.Rng.create ~seed:5)
+          Algorithms.Rand.rand15
+      in
+      let internals = ref None in
+      let maker instance ~rng =
+        let policy, st =
+          Algorithms.Rand.make_with_internals ~n:15 instance ~rng
+        in
+        internals := Some st;
+        policy
+      in
+      let session =
+        Sim.Session.create ~record:true
+          ~instance:(Core.Instance.make ~machines ~jobs:[] ~horizon)
+          ~rng:(Fstats.Rng.create ~seed:5) maker
+      in
+      let st = Option.get !internals in
+      let slices_rng = Fstats.Rng.create ~seed:(seed + 1) in
+      let lagged = ref false in
+      let slices n =
+        let rec go i =
+          if i < n then
+            if Sim.Session.catch_up session then go (i + 1)
+            else if Algorithms.Rand.lagging st > 0 then
+              QCheck.Test.fail_reportf "no lag reported, %d sims behind"
+                (Algorithms.Rand.lagging st)
+        in
+        go 0
+      in
+      let after_feed () =
+        if Algorithms.Rand.lagging st > 0 then lagged := true;
+        match mode with
+        | `Never -> ()
+        | `Every -> slices max_int
+        | `Random ->
+            if Fstats.Rng.int slices_rng 2 = 0 then
+              slices (1 + Fstats.Rng.int slices_rng 3)
+      in
+      (* Jobs and faults merged in time order, as Online admits them. *)
+      let rec feed jobs faults =
+        match (jobs, faults) with
+        | [], [] -> ()
+        | (j : Core.Job.t) :: js, f :: _
+          when j.Core.Job.release <= f.Faults.Event.time ->
+            feed_job j;
+            feed js faults
+        | j :: js, [] ->
+            feed_job j;
+            feed js []
+        | _, (f : Faults.Event.timed) :: fs ->
+            Sim.Session.advance_below session ~time:f.Faults.Event.time;
+            Sim.Session.feed_fault session f;
+            after_feed ();
+            feed jobs fs
+      and feed_job (j : Core.Job.t) =
+        Sim.Session.advance_below session ~time:j.Core.Job.release;
+        Sim.Session.feed_job session j;
+        after_feed ()
+      in
+      feed (Array.to_list instance.Core.Instance.jobs) faults;
+      Sim.Session.run_to_horizon session ();
+      if
+        batch.Sim.Driver.utilities_scaled
+        <> Sim.Session.psi_scaled session ~at:horizon
+      then QCheck.Test.fail_report "psi diverged";
+      if batch.Sim.Driver.parts <> Sim.Session.parts_at session ~at:horizon then
+        QCheck.Test.fail_report "parts diverged";
+      if
+        placements_repr batch.Sim.Driver.schedule
+        <> placements_repr (Sim.Session.schedule session)
+      then QCheck.Test.fail_report "schedule diverged";
+      (* Some sim must have fallen behind, or the slices proved nothing. *)
+      QCheck.assume !lagged;
+      true)
+
 let test_online_admission () =
   let config = mk_config ~machines:[| 1; 1 |] ~horizon:50 () in
   let online = Service.Online.create config in
@@ -1239,6 +1360,46 @@ let sharded_differential_qcheck =
         [ 1; 2; 4 ];
       true)
 
+(* RAND's idle-time catch-up through a real daemon: rand-15 over two
+   org-groups, inline (--shards 1) and on worker domains (--shards 2),
+   where the shards run catch-up slices after every round and while they
+   idle; ψsp, parts and kernel stats must equal the per-group batch
+   runs. *)
+let test_served_rand_catch_up () =
+  let machines = [| 2; 1; 2; 1; 1; 2 |] and horizon = 400 in
+  let rng = Fstats.Rng.create ~seed:17 in
+  let jobs =
+    List.init 80 (fun index ->
+        Core.Job.make ~org:(Fstats.Rng.int rng 6) ~index
+          ~release:(Fstats.Rng.int rng 250)
+          ~size:(Fstats.Rng.int_in rng ~lo:1 ~hi:9)
+          ())
+  in
+  let instance = Core.Instance.make ~machines ~jobs ~horizon in
+  let config =
+    mk_config ~groups:2 ~machines ~horizon ~algorithm:"rand-15" ~seed:5 ()
+  in
+  let golden_psi, golden_parts, golden_stats = grouped_golden ~config instance in
+  List.iter
+    (fun shards ->
+      let@ dir = Harness.with_tmpdir in
+      let addr = Service.Addr.Unix_sock (Filename.concat dir "d.sock") in
+      let@ _pid = with_server ~shards ~service:config addr in
+      let client = Harness.connect_retry addr in
+      Array.iter (Harness.submit_job client) instance.Core.Instance.jobs;
+      (match Harness.request client (Service.Protocol.Drain { detail = false }) with
+      | Service.Protocol.Drain_ok r ->
+          let label what = Printf.sprintf "shards=%d: %s" shards what in
+          Alcotest.(check (array int)) (label "psi") golden_psi
+            r.Service.Protocol.d_psi_scaled;
+          Alcotest.(check (array int)) (label "parts") golden_parts
+            r.Service.Protocol.d_parts;
+          Alcotest.(check string) (label "stats") (stats_string golden_stats)
+            (stats_string r.Service.Protocol.d_stats)
+      | _ -> Alcotest.failf "shards=%d: drain failed" shards);
+      Service.Client.close client)
+    [ 1; 2 ]
+
 (* Group commit: a pipelined burst is acked with far fewer fsyncs than
    acks, and — the durability contract — everything acked before a
    kill -9 is recovered from the per-group segments. *)
@@ -1490,6 +1651,7 @@ let () =
           Alcotest.test_case "equivalence-faults" `Quick
             test_equivalence_faults;
           Alcotest.test_case "admission" `Quick test_online_admission;
+          QCheck_alcotest.to_alcotest rand_catch_up_qcheck;
         ] );
       ( "server",
         [
@@ -1515,5 +1677,6 @@ let () =
             test_group_commit_idle_sync_failure;
           Alcotest.test_case "chaos-isolation" `Quick
             test_shard_chaos_isolation;
+          Alcotest.test_case "rand-catch-up" `Quick test_served_rand_catch_up;
         ] );
     ]
