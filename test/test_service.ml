@@ -622,27 +622,31 @@ let test_equivalence_faults () =
   in
   check_equivalence ~algorithm:"fairshare" ~faults instance
 
-(* RAND's idle-time catch-up: a rand-15 engine fed one job or fault at a
-   time, as Online.submit and Online.fault feed it, with catch-up slices
-   run never, after every feed until none reports lag, or a random number
-   of times after random feeds.  The drained ψsp, parts and schedule must
+(* RAND's idle-time catch-up: a rand-15 engine fed one job, fault or
+   endowment at a time, as Online feeds them, with catch-up slices run
+   never, after every feed until none reports lag, or a random number of
+   times after random feeds.  The drained ψsp, parts and schedule must
    equal Sim.Driver.run's bit for bit, and whenever a slice reports no lag
    every sampled sim must have processed every event up to the latest
-   decision instant. *)
+   decision instant.  Half the cases add a lend/reclaim trace, whose
+   broadcasts queue into sims that may lag. *)
 let rand_catch_up_qcheck =
   let arb =
     QCheck.make
-      ~print:(fun (seed, mode) ->
-        Printf.sprintf "seed %d, slices %s" seed
+      ~print:(fun (seed, mode, churn) ->
+        Printf.sprintf "seed %d, slices %s%s" seed
           (match mode with
           | `Never -> "never"
           | `Every -> "after every feed"
-          | `Random -> "at random"))
+          | `Random -> "at random")
+          (if churn then ", lend/reclaim" else ""))
       QCheck.Gen.(
-        pair (int_range 0 100_000) (oneofl [ `Never; `Every; `Random ]))
+        triple (int_range 0 100_000)
+          (oneofl [ `Never; `Every; `Random ])
+          bool)
   in
   QCheck.Test.make ~name:"rand-15 catch-up slices keep psi = batch" ~count:30
-    arb (fun (seed, mode) ->
+    arb (fun (seed, mode, churn) ->
       let rng = Fstats.Rng.create ~seed in
       let norgs = Fstats.Rng.int_in rng ~lo:3 ~hi:6 in
       let machines =
@@ -667,9 +671,22 @@ let rand_catch_up_qcheck =
           ~mttr:(Faults.Model.Exponential { mean = 5. })
           ()
       in
+      let federation =
+        if not churn then []
+        else
+          Federation.Model.random ~rng ~machines_per_org:machines ~horizon:120
+            ~spec:
+              {
+                Federation.Model.period = 12;
+                lend = 1;
+                correlation = 0.;
+                jitter = 0.3;
+              }
+            ()
+      in
       let batch =
-        Sim.Driver.run ~faults ~instance ~rng:(Fstats.Rng.create ~seed:5)
-          Algorithms.Rand.rand15
+        Sim.Driver.run ~faults ~federation ~instance
+          ~rng:(Fstats.Rng.create ~seed:5) Algorithms.Rand.rand15
       in
       let internals = ref None in
       let maker instance ~rng =
@@ -680,7 +697,7 @@ let rand_catch_up_qcheck =
         policy
       in
       let session =
-        Sim.Session.create ~record:true
+        Sim.Session.create ~record:true ~federated:churn
           ~instance:(Core.Instance.make ~machines ~jobs:[] ~horizon)
           ~rng:(Fstats.Rng.create ~seed:5) maker
       in
@@ -697,37 +714,38 @@ let rand_catch_up_qcheck =
         in
         go 0
       in
-      let after_feed () =
-        if Algorithms.Rand.lagging st > 0 then lagged := true;
-        match mode with
-        | `Never -> ()
-        | `Every -> slices max_int
-        | `Random ->
-            if Fstats.Rng.int slices_rng 2 = 0 then
-              slices (1 + Fstats.Rng.int slices_rng 3)
+      (* Every input in time order (a stable sort keeps each org's jobs in
+         rank order), each fed after advancing below its time, as Online
+         admits it. *)
+      let inputs =
+        List.stable_sort
+          (fun (a, _) (b, _) -> compare a b)
+          (List.map
+             (fun (j : Core.Job.t) -> (j.Core.Job.release, `Job j))
+             (Array.to_list instance.Core.Instance.jobs)
+          @ List.map
+              (fun (f : Faults.Event.timed) -> (f.Faults.Event.time, `Fault f))
+              faults
+          @ List.map
+              (fun (e : Federation.Event.timed) ->
+                (e.Federation.Event.time, `Endow e))
+              federation)
       in
-      (* Jobs and faults merged in time order, as Online admits them. *)
-      let rec feed jobs faults =
-        match (jobs, faults) with
-        | [], [] -> ()
-        | (j : Core.Job.t) :: js, f :: _
-          when j.Core.Job.release <= f.Faults.Event.time ->
-            feed_job j;
-            feed js faults
-        | j :: js, [] ->
-            feed_job j;
-            feed js []
-        | _, (f : Faults.Event.timed) :: fs ->
-            Sim.Session.advance_below session ~time:f.Faults.Event.time;
-            Sim.Session.feed_fault session f;
-            after_feed ();
-            feed jobs fs
-      and feed_job (j : Core.Job.t) =
-        Sim.Session.advance_below session ~time:j.Core.Job.release;
-        Sim.Session.feed_job session j;
-        after_feed ()
-      in
-      feed (Array.to_list instance.Core.Instance.jobs) faults;
+      List.iter
+        (fun (time, input) ->
+          Sim.Session.advance_below session ~time;
+          (match input with
+          | `Job j -> Sim.Session.feed_job session j
+          | `Fault f -> Sim.Session.feed_fault session f
+          | `Endow e -> Sim.Session.feed_endow session e);
+          if Algorithms.Rand.lagging st > 0 then lagged := true;
+          match mode with
+          | `Never -> ()
+          | `Every -> slices max_int
+          | `Random ->
+              if Fstats.Rng.int slices_rng 2 = 0 then
+                slices (1 + Fstats.Rng.int slices_rng 3))
+        inputs;
       Sim.Session.run_to_horizon session ();
       if
         batch.Sim.Driver.utilities_scaled
