@@ -1092,9 +1092,13 @@ let serve_cmd =
          ~horizon ~seed federation_spec);
     with_obs ~trace ~metrics @@ fun () ->
     (* The live observability plane is always on for a daemon: `ctl
-       metrics` and `ctl trace` must answer without a restart, and the
-       per-request cost is one atomic load per instrument when nothing
-       scrapes.  --trace/--metrics still control the exit-time dumps. *)
+       metrics` and `ctl trace` must answer without a restart.  So every
+       instrument records, scraped or not: a live instant costs a few
+       spans (one per phase with work, plus `kernel.round`) and two
+       round-histogram samples.  The what-if coalition sims of REF and
+       RAND record neither (their engines are built unobserved), so a
+       submission's ring footprint follows the live schedule alone.
+       --trace/--metrics still control the exit-time dumps. *)
     Obs.Metrics.set_enabled true;
     Obs.Trace.set_enabled true;
     let cfg =

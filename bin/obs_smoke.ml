@@ -18,7 +18,9 @@
       (per-org ψ/p gauges, per-group max-drift and estimator ε-budget),
       the consortium membership gauges (fed.orgs_active, per-group
       fed.machines_lent_g<g>), the service counters, and the estimator's
-      decision counters (estimates, forced choices);
+      decision counters (estimates, forced choices), and that the
+      kernel.round_latency_ns histogram counts exactly the live rounds
+      `status` reports (RAND's what-if sims sample nothing);
    4. run the in-tree `validate-trace` over the merged Chrome trace and
       check it contains spans from the router lane and from EVERY shard
       worker lane, plus client-issued trace ids on routed requests;
@@ -87,6 +89,29 @@ let check_metrics ~orgs ~shard_groups metrics =
   for g = 0 to shard_groups - 1 do
     require (Printf.sprintf "fed.machines_lent_g%d" g)
   done
+
+(* Only the live engines sample round latency.  RAND has no policy stats,
+   so the [rounds] of [status] are the live groups' rounds alone, and the
+   at-rest histogram must count exactly those: a what-if sim that sampled
+   would inflate it by hundreds of rounds per submission. *)
+let check_live_rounds ~rounds metrics =
+  match number_of metrics "kernel.round_latency_ns" with
+  | None -> fail "metrics: kernel.round_latency_ns missing from merged snapshot"
+  | Some n ->
+      if n <> float_of_int rounds then
+        fail "metrics: %g kernel.round_latency_ns samples, status reports %d \
+              live rounds"
+          n rounds
+
+let status_rounds addr =
+  let client = connect_retry addr in
+  Fun.protect
+    ~finally:(fun () -> Service.Client.close client)
+    (fun () ->
+      match request client Service.Protocol.Status with
+      | Service.Protocol.Status_ok st ->
+          st.Service.Protocol.stats.Kernel.Stats.rounds
+      | _ -> failwith "status: unexpected response")
 
 (* --- trace assertions ---------------------------------------------------- *)
 
@@ -219,10 +244,13 @@ let live_plane dir =
          gauge set must be live. *)
       let metrics_file = Filename.concat dir "metrics.json" in
       let trace_file = Filename.concat dir "trace.json" in
+      let rounds = status_rounds addr in
       Smoke.expect_cli [ "ctl"; "metrics"; "--to"; sock; metrics_file ];
       Smoke.expect_cli
         [ "ctl"; "trace"; "--to"; sock; trace_file; "--limit"; "3000" ];
-      check_metrics ~orgs ~shard_groups:groups (read_json metrics_file);
+      let metrics = read_json metrics_file in
+      check_metrics ~orgs ~shard_groups:groups metrics;
+      check_live_rounds ~rounds metrics;
       (* The merged trace must satisfy the in-tree validator and carry
          every lane: router pid 1, shard workers pids 2..2+W-1. *)
       Smoke.expect_cli [ "validate-trace"; trace_file ];

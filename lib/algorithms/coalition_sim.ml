@@ -180,7 +180,7 @@ let create ?max_restarts ?record ?(federated = false) ~instance ~members () =
          else None);
       pending = Instant.create ~norgs;
       engine =
-        Kernel.Engine.create
+        Kernel.Engine.create ~observed:false
           ~release_time:(fun (j : Job.t) -> j.Job.release)
           [||];
       model =

@@ -47,7 +47,10 @@ val now : t -> int
 (** Latest instant this simulator has been advanced to. *)
 
 val stats : t -> Kernel.Stats.t
-(** This simulator's kernel counters (instants, completions, rounds, …). *)
+(** This simulator's kernel counters (instants, completions, rounds, …).
+    They are its only instrumentation: a what-if schedule is not the live
+    one, so its engine records no [kernel.*] trace span and no round
+    histogram sample ({!Kernel.Engine.create}'s [observed]). *)
 
 val add_release : t -> Job.t -> unit
 (** Hand over a job owned by a member.  Jobs must arrive in non-decreasing

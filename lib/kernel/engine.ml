@@ -6,10 +6,11 @@ type endow_outcome = { e_kills : int; e_wasted : int; e_abandoned : int }
 
 let no_endow_effect = { e_kills = 0; e_wasted = 0; e_abandoned = 0 }
 
-(* Process-wide observability handles, shared by every kernel instance
-   (the driver loop and each sub-coalition sim); per-domain shards keep the
-   parallel REF stages from contending.  All of it is a no-op until
-   `--metrics`/`--trace` (or a test) enables collection. *)
+(* Process-wide observability handles, shared by every observed kernel
+   instance (the live driver loop of a session or an extension); per-domain
+   shards keep parallel runs from contending.  All of it is a no-op until
+   `--metrics`/`--trace` (or a test, or the daemon) enables collection, and
+   an unobserved engine (a what-if coalition sim) never touches it. *)
 let m_round_latency = Obs.Metrics.histogram "kernel.round_latency_ns"
 let m_round_starts = Obs.Metrics.histogram "kernel.round_starts"
 
@@ -36,10 +37,11 @@ type 'job t = {
   mutable pending_checkpoints : int list;
   mutable now : int;
   stats : Stats.t;
+  observed : bool;  (* records kernel.* spans and round histograms *)
 }
 
-let create ?(faults = []) ?(endowments = []) ?machines ?(checkpoints = [])
-    ~release_time jobs =
+let create ?(observed = true) ?(faults = []) ?(endowments = []) ?machines
+    ?(checkpoints = []) ~release_time jobs =
   (match machines with
   | Some m -> (
       match Faults.Event.validate ~machines:m faults with
@@ -61,6 +63,7 @@ let create ?(faults = []) ?(endowments = []) ?machines ?(checkpoints = [])
     pending_checkpoints = List.sort_uniq Stdlib.compare checkpoints;
     now = 0;
     stats = Stats.create ();
+    observed;
   }
 
 let push_job t job = Queue.add job t.pushed_jobs
@@ -185,19 +188,25 @@ let rec drain_releases t model ~time =
     drain_releases t model ~time
   end
 
+(* A traced instant records a phase span only for a phase with an event
+   due, so an instant costs one span per phase that did work. *)
 let drain_events t model ~time =
   if time < t.now then invalid_arg "Kernel.Engine: time moved backwards";
   t.now <- time;
   t.stats.Stats.instants <- t.stats.Stats.instants + 1;
-  if Obs.Trace.enabled () then begin
-    Obs.Trace.span ~cat:"kernel" "kernel.completions" (fun () ->
-        drain_completions t model ~time);
-    Obs.Trace.span ~cat:"kernel" "kernel.faults" (fun () ->
-        drain_faults t model ~time);
-    Obs.Trace.span ~cat:"kernel" "kernel.endowments" (fun () ->
-        drain_endows t model ~time);
-    Obs.Trace.span ~cat:"kernel" "kernel.releases" (fun () ->
-        drain_releases t model ~time)
+  if t.observed && Obs.Trace.enabled () then begin
+    if model.next_completion () <= time then
+      Obs.Trace.span ~cat:"kernel" "kernel.completions" (fun () ->
+          drain_completions t model ~time);
+    if imin (static_fault t) (pushed_fault t) <= time then
+      Obs.Trace.span ~cat:"kernel" "kernel.faults" (fun () ->
+          drain_faults t model ~time);
+    if imin (static_endow t) (pushed_endow t) <= time then
+      Obs.Trace.span ~cat:"kernel" "kernel.endowments" (fun () ->
+          drain_endows t model ~time);
+    if imin (static_release t) (pushed_release t) <= time then
+      Obs.Trace.span ~cat:"kernel" "kernel.releases" (fun () ->
+          drain_releases t model ~time)
   end
   else begin
     drain_completions t model ~time;
@@ -207,10 +216,10 @@ let drain_events t model ~time =
   end
 
 let run_round t model ~time =
-  let timed = Obs.Metrics.enabled () in
+  let timed = t.observed && Obs.Metrics.enabled () in
   let t0 = if timed then Obs.Clock.now_ns () else 0L in
   let n =
-    if Obs.Trace.enabled () then
+    if t.observed && Obs.Trace.enabled () then
       Obs.Trace.span ~cat:"kernel" "kernel.round" (fun () -> model.round ~time)
     else model.round ~time
   in

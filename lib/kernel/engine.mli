@@ -72,6 +72,7 @@ type 'job model = {
 type 'job t
 
 val create :
+  ?observed:bool ->
   ?faults:Faults.Event.timed list ->
   ?endowments:Federation.Event.timed list ->
   ?machines:int ->
@@ -88,7 +89,14 @@ val create :
     on entry (validate it against the instance with
     {!Federation.Event.validate} before handing it over — the engine has no
     machine→org map of its own).  [checkpoints] are instants at which
-    {!run} fires its [on_checkpoint] callback (clamped to the horizon). *)
+    {!run} fires its [on_checkpoint] callback (clamped to the horizon).
+
+    [observed] (default [true]) lets the engine record its [kernel.*]
+    trace spans and its [kernel.round_latency_ns]/[kernel.round_starts]
+    histogram samples while {!Obs.Trace}/{!Obs.Metrics} collection is on.
+    The what-if coalition sims pass [false]: they are not the live
+    schedule, and they step many instants per live one, so their
+    work shows only in {!stats} and their owners' counters. *)
 
 val push_job : 'job t -> 'job -> unit
 (** Feed a job dynamically (the REF sub-coalition simulators receive their

@@ -90,17 +90,25 @@ let record ?(args = []) name cat ph ts_ns dur_ns =
   r.pos <- (r.pos + 1) mod Array.length r.buf;
   r.written <- r.written + 1
 
+let close_span ?args name cat t0 =
+  let t1 = Clock.now_ns () in
+  record ?args name cat 'X' (Int64.sub t0 (Atomic.get epoch)) (Int64.sub t1 t0)
+
+(* A plain [match] rather than [Fun.protect]: a span allocates no
+   [finally] closure, and a raising body still records its span before
+   the exception escapes with its original backtrace. *)
 let span ?(cat = "fairsched") ?args name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
     let t0 = Clock.now_ns () in
-    Fun.protect
-      ~finally:(fun () ->
-        let t1 = Clock.now_ns () in
-        record ?args name cat 'X'
-          (Int64.sub t0 (Atomic.get epoch))
-          (Int64.sub t1 t0))
-      f
+    match f () with
+    | v ->
+        close_span ?args name cat t0;
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        close_span ?args name cat t0;
+        Printexc.raise_with_backtrace e bt
   end
 
 let instant ?(cat = "fairsched") ?args name =

@@ -486,11 +486,18 @@ let test_trace_spans () =
         "span names" [ "inner"; "outer" ] v.Obs.Trace.span_names
   | Error e -> Alcotest.fail e
 
+exception Span_boom of int
+
 let test_trace_span_survives_raise () =
   with_trace @@ fun () ->
-  (try Obs.Trace.span "boom" (fun () -> failwith "x") with Failure _ -> ());
-  check Alcotest.int "event recorded despite raise" 1
-    (List.length (Obs.Trace.events ()))
+  let original = Span_boom 7 in
+  (match Obs.Trace.span "boom" (fun () -> raise original) with
+  | () -> Alcotest.fail "the span swallowed the exception"
+  | exception e -> checkb "the body's own exception escapes" true (e == original));
+  check
+    Alcotest.(list string)
+    "exactly one span despite raise" [ "boom" ]
+    (List.map (fun e -> e.Obs.Trace.name) (Obs.Trace.events ()))
 
 let test_trace_write_and_validate_file () =
   with_trace @@ fun () ->
@@ -504,6 +511,85 @@ let test_trace_write_and_validate_file () =
       match Obs.Trace.validate_file path with
       | Ok v -> check Alcotest.int "file validates" 1 v.Obs.Trace.total_events
       | Error e -> Alcotest.fail e)
+
+(* --- what the kernel records ----------------------------------------------- *)
+
+let span_count name =
+  List.length
+    (List.filter (fun e -> e.Obs.Trace.name = name) (Obs.Trace.events ()))
+
+let histogram_count name =
+  match List.assoc_opt name (Obs.Metrics.snapshot ()) with
+  | Some (Obs.Metrics.Histogram s) -> s.Obs.Metrics.count
+  | _ -> 0
+
+let run_policy ?faults ?workers ~instance maker =
+  Sim.Driver.run ~record:false ?faults ?workers ~instance
+    ~rng:(Fstats.Rng.create ~seed:5) maker
+
+(* Only the live engine is instrumented: the what-if coalition sims inside
+   REF and RAND step many instants per live one and record no kernel span
+   and no round sample, while their work still reaches [Kernel.Stats].
+   Collection changes no result bit. *)
+let test_whatif_sims_unobserved () =
+  List.iter
+    (fun (name, k, workers, maker) ->
+      let instance =
+        Workload.Scenario.instance
+          (Workload.Scenario.default ~norgs:k ~machines:8 ~horizon:20_000
+             Workload.Traces.lpc_egee)
+          ~seed:21
+      in
+      let quiet = run_policy ~workers ~instance maker in
+      with_metrics @@ fun () ->
+      with_trace @@ fun () ->
+      let r = run_policy ~workers ~instance maker in
+      let live = r.Sim.Driver.events in
+      (* Every contested decision reads the what-if sims. *)
+      checkb (name ^ ": the policy ran what-if sims") true
+        (Obs.Metrics.counter_value (Obs.Metrics.counter "ref.phi_walks")
+         + Obs.Metrics.counter_value (Obs.Metrics.counter "rand.estimates")
+        > 0);
+      check Alcotest.int (name ^ ": kernel.round spans") live
+        (span_count "kernel.round");
+      check Alcotest.int (name ^ ": round latency samples") live
+        (histogram_count "kernel.round_latency_ns");
+      check Alcotest.int (name ^ ": round starts samples") live
+        (histogram_count "kernel.round_starts");
+      check Alcotest.int (name ^ ": nothing dropped") 0 (Obs.Trace.dropped ());
+      (* No fault and no endowment stream: those phases never had work. *)
+      check Alcotest.int (name ^ ": no kernel.faults") 0
+        (span_count "kernel.faults");
+      check Alcotest.int (name ^ ": no kernel.endowments") 0
+        (span_count "kernel.endowments");
+      check
+        Alcotest.(array int)
+        (name ^ ": psi unchanged by collection")
+        quiet.Sim.Driver.utilities_scaled r.Sim.Driver.utilities_scaled;
+      checkb (name ^ ": kernel stats unchanged by collection") true
+        (Kernel.Stats.to_json quiet.Sim.Driver.stats
+        = Kernel.Stats.to_json r.Sim.Driver.stats))
+    [
+      ("rand-15 k=6", 6, 1, Algorithms.Rand.rand15);
+      ("ref k=4 workers=1", 4, 1, Algorithms.Reference.make ~workers:1 ());
+      ("ref k=4 workers=2", 4, 2, Algorithms.Reference.make ~workers:2 ());
+    ]
+
+(* A phase span stands for work done: one machine down at 2 and back at 3
+   gives exactly two [kernel.faults] spans. *)
+let test_phase_spans_follow_work () =
+  let instance =
+    Core.Instance.make ~machines:[| 1 |]
+      ~jobs:[ Core.Job.make ~org:0 ~index:0 ~release:0 ~size:5 () ]
+      ~horizon:10
+  in
+  let faults =
+    Faults.Model.scripted [ { Faults.Model.machine = 0; down_at = 2; up_at = 3 } ]
+  in
+  with_trace @@ fun () ->
+  ignore (run_policy ~faults ~instance (Algorithms.Registry.find_exn "fifo"));
+  check Alcotest.int "one span per fault instant" 2 (span_count "kernel.faults");
+  check Alcotest.int "no endowment span" 0 (span_count "kernel.endowments")
 
 let validate_str s =
   Obs.Trace.validate (Result.get_ok (Obs.Json.of_string s))
@@ -618,5 +704,12 @@ let () =
           Alcotest.test_case "validator rejects" `Quick test_validator_rejects;
           Alcotest.test_case "per-tid monotonicity" `Quick
             test_validator_interleaved_tids;
+        ] );
+      ( "kernel",
+        [
+          Alcotest.test_case "what-if sims record nothing" `Quick
+            test_whatif_sims_unobserved;
+          Alcotest.test_case "phase spans follow work" `Quick
+            test_phase_spans_follow_work;
         ] );
     ]
